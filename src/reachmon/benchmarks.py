@@ -367,7 +367,9 @@ REGISTRY = {
 def get_spec(name: str, dt: float | None = None, **overrides) -> HybridSystemSpec:
     """Look up a benchmark by name; ``linear:<path>`` loads from file."""
     if name.startswith("linear:"):
-        spec = load_linear_system(name.split(":", 1)[1])
+        # named by the full string, so a dataset or bundle can reload it
+        spec = dataclasses.replace(load_linear_system(name.split(":", 1)[1]),
+                                   name=name)
     elif name in REGISTRY:
         spec = REGISTRY[name]() if dt is None else REGISTRY[name](dt=dt)
     else:

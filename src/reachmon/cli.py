@@ -59,19 +59,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a labeled dataset")
     g.add_argument("--model", required=True)
-    g.add_argument("--mode", default="ind", help="ind|seq")
+    g.add_argument("--mode", help="ind|seq (default ind)")
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, help="default 0")
     g.add_argument("--windows", type=int, help="windows per trajectory (seq)")
     g.add_argument("--out", required=True)
     g.add_argument("--config")
 
     t = sub.add_parser("train", help="train a monitor bundle from a dataset")
-    t.add_argument("--approach", default="two-step", help="e2e|two-step")
-    t.add_argument("--profile", default="desk", help="desk|paper")
+    t.add_argument("--approach", help="e2e|two-step (default two-step)")
+    t.add_argument("--profile", help="desk|paper (default desk)")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=int, help="default 0")
     t.add_argument("--n-train", type=int)
     t.add_argument("--n-calib", type=int)
     t.add_argument("--n-test", type=int)
@@ -79,21 +79,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="conformal + detection report on a bundle")
     e.add_argument("--bundle", required=True)
-    e.add_argument("--eps", default="0.05", help="comma-separated list")
+    e.add_argument("--eps", type=_eps_list,
+                   help="comma-separated list (default 0.05)")
     e.add_argument("--config")
 
     a = sub.add_parser("active", help="active-learning iterations on a bundle")
     a.add_argument("--bundle", required=True)
-    a.add_argument("--pool", type=int, default=5000)
-    a.add_argument("--iters", type=int, default=1)
-    a.add_argument("--eps", default="0.05")
+    a.add_argument("--pool", type=int, help="default 5000")
+    a.add_argument("--iters", type=int, help="default 1")
+    a.add_argument("--eps", type=_eps_list,
+                   help="comma-separated list (default 0.05)")
     a.add_argument("--cold", action="store_true", help="retrain from scratch")
     a.add_argument("--config")
 
     an = sub.add_parser("anomaly", help="clean vs noise-rescaled evaluation")
     an.add_argument("--bundle", required=True)
-    an.add_argument("--noise-scale", type=float, default=10.0)
-    an.add_argument("--eps", default="0.05")
+    an.add_argument("--noise-scale", type=float, help="default 10")
+    an.add_argument("--eps", type=_eps_list,
+                    help="comma-separated list (default 0.05)")
     an.add_argument("--config")
 
     c = sub.add_parser("compare-se", help="neural estimator vs UKF")
@@ -109,7 +112,8 @@ def run(args) -> int:
     if cmd == "gen":
         cfg = _apply(cfg, args, {"model": "model", "n": "n", "seed": "seed",
                                  "out": "out", "windows": "windows_per_traj"})
-        cfg.mode = normalize_mode(args.mode)
+        if args.mode is not None:
+            cfg.mode = normalize_mode(args.mode)
         cfg.validate()
         out = pipeline.cmd_gen(cfg)
         print(f"dataset written to {out}")
@@ -117,13 +121,13 @@ def run(args) -> int:
         cfg = _apply(cfg, args, {"data": "data", "out": "out", "seed": "seed",
                                  "profile": "profile", "n_train": "n_train",
                                  "n_calib": "n_calib", "n_test": "n_test"})
-        cfg.approach = normalize_approach(args.approach)
+        if args.approach is not None:
+            cfg.approach = normalize_approach(args.approach)
         cfg.validate()
         out = pipeline.cmd_train(cfg)
         print(f"bundle written to {out}")
     elif cmd == "eval":
-        cfg = _apply(cfg, args, {"bundle": "bundle"})
-        cfg.eps = _eps_list(args.eps)
+        cfg = _apply(cfg, args, {"bundle": "bundle", "eps": "eps"})
         cfg.validate()
         det = pipeline.cmd_eval(cfg)
         for eps in cfg.eps:
@@ -135,8 +139,7 @@ def run(args) -> int:
                   f"efficiency={per['efficiency']:.4f}")
     elif cmd == "active":
         cfg = _apply(cfg, args, {"bundle": "bundle", "pool": "pool",
-                                 "iters": "iters"})
-        cfg.eps = _eps_list(args.eps)
+                                 "iters": "iters", "eps": "eps"})
         if args.cold:
             cfg.warm = False
         cfg.validate()
@@ -147,8 +150,8 @@ def run(args) -> int:
                   f"{rec['before']['rejection_rate']:.4f} -> "
                   f"{rec['after']['rejection_rate']:.4f}")
     elif cmd == "anomaly":
-        cfg = _apply(cfg, args, {"bundle": "bundle", "noise_scale": "noise_scale"})
-        cfg.eps = _eps_list(args.eps)
+        cfg = _apply(cfg, args, {"bundle": "bundle", "noise_scale": "noise_scale",
+                                 "eps": "eps"})
         cfg.validate()
         out = pipeline.cmd_anomaly(cfg)
         for setting in ("clean", "anomaly"):

@@ -2,9 +2,13 @@
 
 Everything is plain numpy with explicit reverse-mode backward passes.
 Convolutions are stride-1 with symmetric zero padding so sequence length is
-preserved (the monitor windows are short, down to two steps).  Each layer
-caches what its backward pass needs; gradients accumulate into ``grads``
-aligned with ``params``.
+preserved (the monitor windows are short, down to two steps).  They run as
+unrolled convolutions (Chellapilla, Puri & Simard, IWFHR 2006): an im2col
+copy of the input windows, one batched matrix product with the filters, and
+a col2im sum for the input gradient.  Both copies are ``kernel`` shifted
+slices of a channel-last buffer, with no index arrays or scatter.  Each
+layer caches what its backward pass needs; gradients accumulate into
+``grads`` aligned with ``params``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ def _activate(z, kind):
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "leaky_relu":
-        return np.where(z >= 0.0, z, 0.2 * z)
+        return np.maximum(z, 0.2 * z)
     if kind == "tanh":
         return np.tanh(z)
     raise ValueError(f"unknown activation {kind!r}")
@@ -30,7 +34,7 @@ def _activate_grad(z, out, kind):
     if kind == "relu":
         return (z > 0.0).astype(z.dtype)
     if kind == "leaky_relu":
-        return np.where(z >= 0.0, 1.0, 0.2).astype(z.dtype)
+        return np.where(z >= 0.0, 1.0, 0.2).astype(z.dtype, copy=False)
     if kind == "tanh":
         return 1.0 - out * out
     raise ValueError(f"unknown activation {kind!r}")
@@ -48,7 +52,20 @@ class Layer:
 
 
 class Conv1D(Layer):
-    """Stride-1 same-padded 1-D convolution over (batch, channels, length)."""
+    """Stride-1 same-padded 1-D convolution over (batch, channels, length).
+
+    ``forward`` copies the input into a zero-padded channel-last buffer
+    ``(B, L + 2p, C)`` and builds the im2col matrix ``(B, L, C * k)`` from
+    ``k`` shifted slices of it, then multiplies by the flattened filters.
+    ``backward`` turns the column gradient back into an input gradient with
+    ``k`` shifted-slice adds, taking the kernel taps from last to first.
+    Each padded position then sums its contributions in the order an
+    ``np.add.at`` scatter over the im2col indices would, so outputs and
+    gradients are bit-identical to that formulation.  The output is a
+    (B, F, L) view of (B, L, F) memory, which the next convolution's
+    channel-last copy reads contiguously; the input gradient is likewise a
+    view of channel-last memory.
+    """
 
     def __init__(self, in_channels, out_channels, kernel, activation, rng, dtype):
         if kernel % 2 == 0:
@@ -66,19 +83,23 @@ class Conv1D(Layer):
 
     def forward(self, x, train=False, rng=None):
         B, C, L = x.shape
-        xp = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad)))
-        idx = np.arange(L)[:, None] + np.arange(self.kernel)[None, :]
-        cols = xp[:, :, idx]                       # (B, C, L, k)
-        cols = cols.transpose(0, 2, 1, 3).reshape(B, L, -1)
+        p, k = self.pad, self.kernel
+        xp = np.zeros((B, L + 2 * p, C), dtype=x.dtype)
+        xp[:, p:p + L, :] = x.transpose(0, 2, 1)
+        cols = np.empty((B, L, C, k), dtype=x.dtype)
+        for j in range(k):
+            cols[..., j] = xp[:, j:j + L, :]
+        cols = cols.reshape(B, L, C * k)
         w2 = self.w.reshape(self.w.shape[0], -1)   # (F, C*k)
         z = cols @ w2.T + self.b                   # (B, L, F)
         z = z.transpose(0, 2, 1)                   # (B, F, L)
         out = _activate(z, self.activation)
-        self._cache = (cols, z, out, (B, C, L), idx)
+        self._cache = (cols, z, out, (B, C, L))
         return out
 
     def backward(self, dout):
-        cols, z, out, (B, C, L), idx = self._cache
+        cols, z, out, (B, C, L) = self._cache
+        p, k = self.pad, self.kernel
         dz = dout * _activate_grad(z, out, self.activation)
         dz_t = dz.transpose(0, 2, 1)               # (B, L, F)
         F = self.w.shape[0]
@@ -86,10 +107,14 @@ class Conv1D(Layer):
         self.grads[0][...] = (dz_t.reshape(-1, F).T @ cols.reshape(-1, w2.shape[1])
                               ).reshape(self.w.shape)
         self.grads[1][...] = dz.sum(axis=(0, 2))
-        dcols = (dz_t @ w2).reshape(B, L, C, self.kernel).transpose(0, 2, 1, 3)
-        dxp = np.zeros((B, C, L + 2 * self.pad), dtype=dout.dtype)
-        np.add.at(dxp, (slice(None), slice(None), idx), dcols)
-        return dxp[:, :, self.pad:self.pad + L]
+        dcols = (dz_t @ w2).reshape(B, L, C, k)
+        # Padded position m receives dcols[:, l, :, j] for l + j = m.  Adding
+        # j = k-1 first sums them in increasing l, the order of a scatter
+        # np.add.at(dxp, (.., l + j), dcols), so the sums round identically.
+        dxp = np.zeros((B, L + 2 * p, C), dtype=dout.dtype)
+        for j in range(k - 1, -1, -1):
+            dxp[:, j:j + L, :] += dcols[..., j]
+        return dxp[:, p:p + L, :].transpose(0, 2, 1)
 
     def shape_out(self, shape_in):
         _, L = shape_in

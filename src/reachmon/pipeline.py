@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -118,6 +119,8 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     if not cfg.data or not cfg.out:
         raise ConfigError("train requires --data and --out")
     dataset = load(cfg.data)
+    # the dataset, not the config (``train`` has no --model), names the model
+    cfg = replace(cfg, model=dataset.model_name)
     rng = np.random.default_rng([cfg.seed, _SPLIT_STREAM])
     train_ds, calib_ds, test_ds = split(dataset, cfg.n_train, cfg.n_calib,
                                         cfg.n_test, rng)
@@ -284,7 +287,6 @@ def anomalous_copy(ds: Dataset, spec, noise_scale: float) -> Dataset:
         ds.modes.astype(np.int64).reshape(n * L),
     ).reshape(n, L, -1)
     noise = ds.obs.astype(np.float64) - clean
-    from dataclasses import replace
     return replace(ds, obs=(clean + noise_scale * noise).astype(np.float32))
 
 

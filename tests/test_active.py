@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from reachmon.active import ALState, al_iteration, query
 from reachmon.data import Scaler, gen_independent, scale
 from reachmon.detect import RejectionRule, cv_uncertainty_labels, train_rule
+from reachmon.errors import NumericalError
 from reachmon.evaluate import calibration_scores
-from reachmon.monitor import TrainSchedule, monitor_predict, train_monitor
+from reachmon.monitor import (TrainSchedule, continue_training, monitor_predict,
+                              train_monitor)
+from reachmon.nets import MonitorModel, Network, build_classifier_spec
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +121,17 @@ class TestIteration:
             for key in ("accuracy", "detection_rate", "rejection_rate",
                         "coverage@0.05", "efficiency@0.1"):
                 assert key in rec[phase]
+
+
+class TestContinueTraining:
+    def test_divergence_aborts(self, small_ip_splits):
+        # as for train_classifier, only extreme magnitudes make Adam's
+        # bounded steps drive the scores non-finite
+        ds = small_ip_splits["train_scaled"]
+        ds = replace(ds, obs=ds.obs * np.float32(1e30))
+        sched = TrainSchedule.for_profile("desk", seed=0)
+        sched.classifier.lr, sched.classifier.epochs = 1e120, 5
+        net = Network(build_classifier_spec(ds.obs_dim, ds.window_len, "desk"))
+        model = MonitorModel(kind="end_to_end", nets={"classifier": net})
+        with pytest.raises(NumericalError), np.errstate(all="ignore"):
+            continue_training(model, ds, sched)

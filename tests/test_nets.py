@@ -18,6 +18,7 @@ from reachmon.nets import (
     train_estimator,
     validate_netspec,
 )
+from reachmon.nets.layers import Conv1D
 from reachmon.nets.training import predict_scores, softmax
 
 
@@ -37,6 +38,38 @@ def conv1d_oracle(x, w, b, pad):
                         acc += w[f, c, k] * xp[bi, c, l + k]
                 out[bi, f, l] = acc
     return out
+
+
+def conv1d_reference(layer, x, dout):
+    """Conv1D by np.pad + fancy-index im2col and an np.add.at col2im, with
+    leaky_relu by np.where; returns (out, dx, dw, db)."""
+    B, C, L = x.shape
+    k, pad = layer.kernel, layer.pad
+    F = layer.w.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    idx = np.arange(L)[:, None] + np.arange(k)[None, :]
+    cols = xp[:, :, idx].transpose(0, 2, 1, 3).reshape(B, L, -1)
+    w2 = layer.w.reshape(F, -1)
+    z = (cols @ w2.T + layer.b).transpose(0, 2, 1)
+    act = layer.activation
+    if act == "linear":
+        out, grad = z, np.ones_like(z)
+    elif act == "relu":
+        out, grad = np.maximum(z, 0.0), (z > 0.0).astype(z.dtype)
+    elif act == "leaky_relu":
+        out = np.where(z >= 0.0, z, 0.2 * z)
+        grad = np.where(z >= 0.0, 1.0, 0.2).astype(z.dtype)
+    else:
+        out = np.tanh(z)
+        grad = 1.0 - out * out
+    dz = dout * grad
+    dz_t = dz.transpose(0, 2, 1)
+    dw = (dz_t.reshape(-1, F).T @ cols.reshape(-1, w2.shape[1])).reshape(layer.w.shape)
+    db = dz.sum(axis=(0, 2))
+    dcols = (dz_t @ w2).reshape(B, L, C, k).transpose(0, 2, 1, 3)
+    dxp = np.zeros((B, C, L + 2 * pad), dtype=dout.dtype)
+    np.add.at(dxp, (slice(None), slice(None), idx), dcols)
+    return out, dxp[:, :, pad:pad + L], dw, db
 
 
 def make_net(spec, seed=0):
@@ -176,6 +209,35 @@ class TestGradients:
         g_comb = grads_for("combined")
         for gm, gc, gt in zip(g_mse, g_ce, g_comb):
             assert np.abs(gt - (gm + gc)).max() < 1e-10
+
+
+class TestConv1DBitExact:
+    @pytest.mark.parametrize("activation", ["linear", "relu", "leaky_relu", "tanh"])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_matches_scatter_reference(self, kernel, activation):
+        rng = np.random.default_rng(kernel)
+        C, F = 6, 5
+        for B in (1, 64):
+            for L in (1, 2, 6):
+                # channel_last: (B, C, L) views of (B, L, C) memory, as one
+                # conv passes its output and input gradient to the next
+                for channel_last in (False, True):
+                    layer = Conv1D(C, F, kernel, activation, rng, np.float64)
+                    layer.b[...] = rng.normal(size=F)
+                    if channel_last:
+                        x = rng.normal(size=(B, L, C)).transpose(0, 2, 1)
+                        dout = rng.normal(size=(B, L, F)).transpose(0, 2, 1)
+                    else:
+                        x = rng.normal(size=(B, C, L))
+                        dout = rng.normal(size=(B, F, L))
+                    out = layer.forward(x)
+                    dx = layer.backward(dout)
+                    want = conv1d_reference(layer, x, dout)
+                    case = (B, L, channel_last)
+                    assert np.array_equal(out, want[0]), case
+                    assert np.array_equal(dx, want[1]), case
+                    assert np.array_equal(layer.grads[0], want[2]), case
+                    assert np.array_equal(layer.grads[1], want[3]), case
 
 
 class TestTrainClassifier:

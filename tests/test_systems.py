@@ -216,6 +216,7 @@ class TestLinearLoader:
     def test_registry_key(self, tmp_path):
         path = write_linear_file(tmp_path / "sys.txt")
         spec = get_spec(f"linear:{path}")
-        assert spec.state_dim == 1 and spec.name == "linear"
+        assert spec.state_dim == 1 and spec.name == f"linear:{path}"
+        assert get_spec(spec.name).state_dim == 1
         with pytest.raises(ConfigError):
             get_spec("nope")
