@@ -11,9 +11,7 @@ from .conformal import (
     coverage,
     efficiency_classification,
     efficiency_regression,
-    ncf_classification,
     ncf_regression,
-    p_value,
     regress_region,
 )
 from .data import Dataset, Scaler, gen_independent, gen_sequential, load, save, scale, split, unscale
@@ -23,8 +21,8 @@ from .systems import HybridState, HybridSystemSpec, Trajectory, observe, sample_
 __all__ = [
     "__version__", "get_spec", "load_linear_system", "CalibrationSet",
     "classify_region", "confidence_credibility", "coverage",
-    "efficiency_classification", "efficiency_regression",
-    "ncf_classification", "ncf_regression", "p_value", "regress_region",
+    "efficiency_classification", "efficiency_regression", "ncf_regression",
+    "regress_region",
     "Dataset", "Scaler", "gen_independent", "gen_sequential", "load", "save",
     "scale", "split", "unscale", "label_window", "reach_label",
     "HybridState", "HybridSystemSpec", "Trajectory", "observe",

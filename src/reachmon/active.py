@@ -16,13 +16,15 @@ import numpy as np
 
 from .conformal import CalibrationSet
 from .data import Dataset, Scaler, scale
-from .detect import RejectionRule, cv_uncertainty_labels, reject_batch, train_rule
+from .detect import RejectionRule, reject_batch
 from .evaluate import (
     QUERY_STREAM,
+    RULE_STREAM,
     calibration_scores,
     cp_evaluate,
     dataset_hash,
     full_report,
+    rule_from_monitor,
 )
 from .monitor import MonitorModel, TrainSchedule, continue_training, train_monitor
 
@@ -132,12 +134,10 @@ def al_iteration(state: ALState, pool_ds: Dataset, test_ds: Dataset,
 
     calib_scaled = scale(state.calib_ds, state.scaler)
     state.calib = calibration_scores(state.monitor, calib_scaled)
-    from .monitor import monitor_predict
-    lik = monitor_predict(state.monitor, calib_scaled)["likelihoods"]
-    feats, errs = cv_uncertainty_labels(
-        lik, calib_scaled.labels, state.k_folds,
-        np.random.default_rng([state.seed, 0x4356, state.iteration]))
-    state.rule = train_rule(feats, errs, seed=state.seed)
+    state.rule = rule_from_monitor(
+        state.monitor, calib_scaled, state.k_folds,
+        np.random.default_rng([state.seed, RULE_STREAM, state.iteration]),
+        state.seed)
 
     after = full_report(state.monitor, state.calib, state.rule,
                         test_scaled, eps_list, seed=state.seed)

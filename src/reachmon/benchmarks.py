@@ -16,6 +16,7 @@ check; all of them can be overridden via ``dataclasses.replace`` or the
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 
@@ -367,9 +368,11 @@ REGISTRY = {
 def get_spec(name: str, dt: float | None = None, **overrides) -> HybridSystemSpec:
     """Look up a benchmark by name; ``linear:<path>`` loads from file."""
     if name.startswith("linear:"):
-        # named by the full string, so a dataset or bundle can reload it
-        spec = dataclasses.replace(load_linear_system(name.split(":", 1)[1]),
-                                   name=name)
+        # named by the absolute path, so a dataset or bundle can reload it
+        # from any working directory
+        path = os.path.abspath(name.split(":", 1)[1])
+        spec = dataclasses.replace(load_linear_system(path),
+                                   name=f"linear:{path}")
     elif name in REGISTRY:
         spec = REGISTRY[name]() if dt is None else REGISTRY[name](dt=dt)
     else:

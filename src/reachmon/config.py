@@ -36,7 +36,6 @@ class ExperimentConfig:
     approach: str = "two_step"
     profile: str = "desk"
     seed: int = 0
-    seeds: list = field(default_factory=lambda: [0])
     eps: list = field(default_factory=lambda: [0.05])
     n: int = 7000
     windows_per_traj: int = 50
@@ -63,8 +62,6 @@ class ExperimentConfig:
             raise ConfigError(f"approach must be end_to_end|two_step, got {self.approach!r}")
         if self.profile not in ("desk", "paper"):
             raise ConfigError(f"profile must be desk|paper, got {self.profile!r}")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
         for e in self.eps:
             if not 0.0 < e < 1.0:
                 raise ConfigError(f"eps values must lie in (0, 1), got {e}")

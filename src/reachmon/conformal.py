@@ -71,27 +71,16 @@ class IntervalRegion:
         return float(np.linalg.norm(np.asarray(value) - self.center)) <= self.radius
 
 
-@dataclass(frozen=True)
-class UncertaintyPair:
-    """Confidence 1 - (second-largest p-value) and credibility (largest)."""
-
-    confidence: float
-    credibility: float
-
-
-def ncf_classification(likelihoods, label: int) -> float:
-    """1 minus the likelihood assigned to ``label``."""
-    lik = np.asarray(likelihoods, dtype=np.float64)
-    if lik.ndim != 1 or (lik < -1e-9).any() or abs(lik.sum() - 1.0) > 1e-6:
-        raise InvalidLikelihoods(f"not a normalized likelihood vector: {lik}")
-    if label not in range(lik.size):
-        raise InvalidLikelihoods(f"label {label} out of range")
-    return float(1.0 - lik[label])
-
-
 def ncf_classification_batch(likelihoods, labels) -> np.ndarray:
+    """1 minus the likelihood each row of ``likelihoods`` (N, K) assigns to
+    its label."""
     lik = np.asarray(likelihoods, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if (lik.ndim != 2 or (lik < -1e-9).any()
+            or (np.abs(lik.sum(axis=1) - 1.0) > 1e-6).any()):
+        raise InvalidLikelihoods("not normalized likelihood vectors")
+    if ((labels < 0) | (labels >= lik.shape[1])).any():
+        raise InvalidLikelihoods(f"labels out of range 0..{lik.shape[1] - 1}")
     return 1.0 - lik[np.arange(lik.shape[0]), labels]
 
 
@@ -104,18 +93,9 @@ def ncf_regression(predicted_seq, true_seq) -> float:
     return float(np.linalg.norm((a - b).ravel()))
 
 
-def p_value(calib: CalibrationSet, alpha_star: float, theta: float) -> float:
-    """Smoothed p-value of a test score against the calibration set."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must be in [0, 1]")
-    s = calib.scores
-    n_ge = s.size - np.searchsorted(s, alpha_star, side="left")
-    n_gt = s.size - np.searchsorted(s, alpha_star, side="right")
-    n_eq = n_ge - n_gt
-    return (n_gt + theta * (n_eq + 1)) / (s.size + 1)
-
-
 def p_values_batch(calib: CalibrationSet, alpha_stars, thetas) -> np.ndarray:
+    """Smoothed p-values of test scores against the calibration set, one
+    tie-breaking theta per score."""
     s = calib.scores
     a = np.asarray(alpha_stars, dtype=np.float64)
     t = np.asarray(thetas, dtype=np.float64)
@@ -150,11 +130,11 @@ def regress_region(prediction, calib: CalibrationSet, eps: float) -> IntervalReg
                           radius=radius, unbounded=unbounded)
 
 
-def confidence_credibility(p0: float, p1: float) -> UncertaintyPair:
-    """Binary-case uncertainty: credibility is the larger p-value, confidence
-    one minus the smaller."""
-    return UncertaintyPair(confidence=1.0 - min(p0, p1),
-                           credibility=max(p0, p1))
+def confidence_credibility(p_values) -> np.ndarray:
+    """Binary-case (confidence, credibility) rows from (N, 2) p-values:
+    credibility is the larger p-value, confidence one minus the smaller."""
+    pv = np.asarray(p_values, dtype=np.float64)
+    return np.stack([1.0 - pv.min(axis=1), pv.max(axis=1)], axis=1)
 
 
 def classification_p_values(calib: CalibrationSet, likelihoods,

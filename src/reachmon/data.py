@@ -26,7 +26,7 @@ import numpy as np
 from .errors import GenerationFailed, InsufficientData, ShapeError
 from .reach import reach_label_batch
 from .storage import load_container, save_container
-from .systems import HybridSystemSpec, step_batch
+from .systems import HybridSystemSpec, flow
 
 SEQUENCE_LEN = 32  # states per generated sequence; windows are its tail
 MAX_RETRIES = 20
@@ -177,22 +177,22 @@ def _empty_dataset(spec: HybridSystemSpec, mode: str, seed: int) -> Dataset:
 
 
 def _simulate_tolerant(spec, V0, Q0, n_steps):
-    """Batch simulation that flags diverged rows instead of raising."""
+    """Batch simulation that flags diverged rows instead of raising.
+
+    Each transition is :func:`systems.flow` from time ``k * dt``, as in
+    :func:`systems.simulate_batch`; a row whose state turns non-finite is
+    parked at zero and masked out, then the jump rule runs on every row.
+    Returns ``(states, modes, ok)``.
+    """
     B = V0.shape[0]
     Vs = np.empty((n_steps + 1, B, spec.state_dim), dtype=np.float64)
     Qs = np.empty((n_steps + 1, B), dtype=np.int64)
     Vs[0], Qs[0] = V0, Q0
-    V, Q = V0.copy(), Q0.copy()
+    V, Q = V0, Q0
     ok = np.ones(B, dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(n_steps):
-            A = spec.control(V, Q)
-            dt = spec.dt
-            k1 = spec.drift(V, A, 0.0, Q)
-            k2 = spec.drift(V + 0.5 * dt * k1, A, 0.0, Q)
-            k3 = spec.drift(V + 0.5 * dt * k2, A, 0.0, Q)
-            k4 = spec.drift(V + dt * k3, A, 0.0, Q)
-            V = V + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            V = flow(spec, V, Q, k * spec.dt)
             bad = ~np.isfinite(V).all(axis=1)
             if bad.any():
                 ok &= ~bad

@@ -19,6 +19,7 @@ import numpy as np
 from .conformal import (
     CalibrationSet,
     classification_p_values,
+    confidence_credibility,
     ncf_classification_batch,
 )
 from .errors import DegenerateRule, InsufficientData, ShapeError
@@ -52,6 +53,17 @@ class RejectionRule:
                    degenerate=bool(d["degenerate"]), meta=d.get("meta", {}))
 
 
+def check_folds(n: int, k_folds: int):
+    """Raise unless ``n`` calibration points make ``k_folds >= 2`` folds of at
+    least ``MIN_FOLD_SIZE`` points each."""
+    if k_folds < 2:
+        raise ValueError("k_folds must be >= 2")
+    if n // k_folds < MIN_FOLD_SIZE:
+        raise InsufficientData(
+            f"fold size {n // k_folds} < {MIN_FOLD_SIZE}; need more "
+            "calibration data or fewer folds")
+
+
 def cv_uncertainty_labels(likelihoods, labels, k_folds: int,
                           rng: np.random.Generator):
     """Cross-validated (confidence, credibility) and error bits for every
@@ -62,15 +74,10 @@ def cv_uncertainty_labels(likelihoods, labels, k_folds: int,
     folds only.  Returns ``(features (N, 2), errors (N,))`` where features
     are (confidence, credibility).
     """
-    if k_folds < 2:
-        raise ValueError("k_folds must be >= 2")
     lik = np.asarray(likelihoods, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     n = len(y)
-    if n // k_folds < MIN_FOLD_SIZE:
-        raise InsufficientData(
-            f"fold size {n // k_folds} < {MIN_FOLD_SIZE}; need more "
-            "calibration data or fewer folds")
+    check_folds(n, k_folds)
     order = rng.permutation(n)
     folds = np.array_split(order, k_folds)
     scores_true = ncf_classification_batch(lik, y)
@@ -82,9 +89,8 @@ def cv_uncertainty_labels(likelihoods, labels, k_folds: int,
         pool_mask = np.ones(n, dtype=bool)
         pool_mask[fold] = False
         pool = CalibrationSet(scores_true[pool_mask])
-        pv = classification_p_values(pool, lik[fold], thetas[fold])
-        features[fold, 0] = 1.0 - pv.min(axis=1)   # confidence
-        features[fold, 1] = pv.max(axis=1)         # credibility
+        features[fold] = confidence_credibility(
+            classification_p_values(pool, lik[fold], thetas[fold]))
     return features, errors
 
 
@@ -145,17 +151,11 @@ def train_rule(features, errors, reg: float = 1e-3, lr: float = 0.1,
 
 
 def reject_batch(rule: RejectionRule, features) -> np.ndarray:
+    """Per row of (confidence, credibility) ``features``, whether the rule
+    flags it."""
     X = np.asarray(features, dtype=np.float64)
     Xs = (X - rule.feat_mean) / rule.feat_std
     return (Xs @ rule.w + rule.b) > 0.0
-
-
-def reject(rule: RejectionRule, uncertainty) -> bool:
-    """True when the rule flags the (confidence, credibility) pair."""
-    u = uncertainty
-    feats = np.array([[u.confidence, u.credibility]]) if hasattr(u, "confidence") \
-        else np.asarray(u, dtype=np.float64).reshape(1, 2)
-    return bool(reject_batch(rule, feats)[0])
 
 
 def detection_metrics(pred_labels, true_labels, rejected) -> dict:

@@ -26,7 +26,12 @@ class GenerationFailed(ReachmonError):
 
 
 class NumericalError(ReachmonError):
-    """Training or evaluation produced non-finite values."""
+    """Training or evaluation produced non-finite values; a diverged training
+    run carries its per-epoch ``loss_history``, non-finite value last."""
+
+    def __init__(self, message, loss_history=None):
+        super().__init__(message)
+        self.loss_history = loss_history
 
 
 class InvalidLikelihoods(ReachmonError):

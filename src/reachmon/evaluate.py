@@ -16,16 +16,24 @@ from .conformal import (
     CalibrationSet,
     classification_p_values,
     classify_region,
+    confidence_credibility,
     coverage,
     efficiency_classification,
     ncf_classification_batch,
 )
 from .data import Dataset
-from .detect import RejectionRule, detection_metrics, reject_batch
+from .detect import (
+    RejectionRule,
+    cv_uncertainty_labels,
+    detection_metrics,
+    reject_batch,
+    train_rule,
+)
 from .monitor import monitor_predict
 
 THETA_STREAM = 0x7468
 QUERY_STREAM = 0x7175
+RULE_STREAM = 0x4356
 
 
 def calibration_scores(model, calib_scaled: Dataset) -> CalibrationSet:
@@ -33,6 +41,15 @@ def calibration_scores(model, calib_scaled: Dataset) -> CalibrationSet:
     pred = monitor_predict(model, calib_scaled)
     return CalibrationSet(
         ncf_classification_batch(pred["likelihoods"], calib_scaled.labels))
+
+
+def rule_from_monitor(model, calib_scaled: Dataset, k_folds: int,
+                      rng: np.random.Generator, seed: int) -> RejectionRule:
+    """Rejection rule fitted to the monitor's cross-validated uncertainty on
+    a scaled calibration split; ``rng`` draws the folds and thetas."""
+    lik = monitor_predict(model, calib_scaled)["likelihoods"]
+    feats, errs = cv_uncertainty_labels(lik, calib_scaled.labels, k_folds, rng)
+    return train_rule(feats, errs, seed=seed)
 
 
 def draw_thetas(seed: int, n: int, stream: int = THETA_STREAM) -> np.ndarray:
@@ -49,7 +66,7 @@ def cp_evaluate(model, calib: CalibrationSet, ds_scaled: Dataset,
     pred = monitor_predict(model, ds_scaled)
     thetas = draw_thetas(seed, ds_scaled.n)
     pv = classification_p_values(calib, pred["likelihoods"], thetas)
-    features = np.stack([1.0 - pv.min(axis=1), pv.max(axis=1)], axis=1)
+    features = confidence_credibility(pv)
     per_eps = {}
     truths = ds_scaled.labels.astype(np.int64)
     for eps in eps_list:

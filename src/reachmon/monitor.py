@@ -13,7 +13,9 @@ from .nets import (
     TrainOpts,
     build_classifier_spec,
     build_estimator_spec,
+    classifier_step,
     fine_tune,
+    fit,
     predict,
     train_classifier,
     train_estimator,
@@ -113,23 +115,9 @@ def continue_training(model: MonitorModel, train_scaled: Dataset,
     y = train_scaled.labels
     if model.kind == "end_to_end":
         net = model.nets["classifier"]
-        from .nets.training import (Adam, _check_finite_loss, _epoch_batches,
-                                    cross_entropy)
-        opts = schedule.classifier
-        shuffle_rng = np.random.default_rng([opts.seed, 0x5741])
-        drop_rng = np.random.default_rng([opts.seed, 0x4453])
-        adam = Adam(net.params, lr=opts.lr)
-        history = []
-        for epoch in range(opts.epochs):
-            total = 0.0
-            for idx in _epoch_batches(len(y), opts.batch_size, shuffle_rng):
-                scores = net.forward(X[idx], train=True, rng=drop_rng)
-                loss, dscores = cross_entropy(scores, y[idx])
-                net.backward(dscores)
-                adam.step(net.grads)
-                total += loss * len(idx)
-            history.append(total / len(y))
-            _check_finite_loss(history[-1], epoch, history)
+        # shuffle and dropout streams apart from the first training's
+        fit([net], classifier_step(net, X, y), len(y), schedule.classifier,
+            (0x5741, 0x4453))
         return model
     S = state_windows(train_scaled)
     fine_tune(model.nets["nse"], model.nets["nsc"], X, S, y, schedule.finetune)

@@ -2,8 +2,10 @@ from .network import Network, build_classifier_spec, build_estimator_spec, valid
 from .training import (
     MonitorModel,
     TrainOpts,
+    classifier_step,
     cross_entropy,
     fine_tune,
+    fit,
     load_model,
     mse,
     predict,
@@ -14,7 +16,7 @@ from .training import (
 
 __all__ = [
     "Network", "build_classifier_spec", "build_estimator_spec",
-    "validate_netspec", "MonitorModel", "TrainOpts", "cross_entropy",
-    "fine_tune", "load_model", "mse", "predict", "save_model",
-    "train_classifier", "train_estimator",
+    "validate_netspec", "MonitorModel", "TrainOpts", "classifier_step",
+    "cross_entropy", "fine_tune", "fit", "load_model", "mse", "predict",
+    "save_model", "train_classifier", "train_estimator",
 ]

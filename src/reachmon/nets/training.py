@@ -1,10 +1,11 @@
-"""Losses, Adam, the three training pipelines and monitor persistence.
+"""Losses, Adam, the minibatch training loop and monitor persistence.
 
-The classifier is trained with binary cross-entropy on softmax-normalized
-head scores, the state estimator with mean squared error on scaled state
-sequences, and the two-step monitor is fine-tuned jointly on the sum of the
-two losses so the classifier adapts to reconstructed rather than exact
-states.  All loops are deterministic given the seed.
+Every training stage is one call of :func:`fit` with its own per-minibatch
+step.  The classifier is trained with binary cross-entropy on
+softmax-normalized head scores, the state estimator with mean squared error
+on scaled state sequences, and the two-step monitor is fine-tuned jointly on
+the sum of the two losses so the classifier adapts to reconstructed rather
+than exact states.  Training is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -85,17 +86,46 @@ class MonitorModel:
     meta: dict = field(default_factory=dict)
 
 
-def _check_finite_loss(loss, epoch, history):
-    if not np.isfinite(loss):
-        raise NumericalError(
-            f"training diverged at epoch {epoch}: loss={loss!r}; "
-            f"last finite losses: {history[-5:]}")
+_TRAIN_STREAMS = (0x5348, 0x4452)   # (shuffle, dropout) stream constants
 
 
-def _epoch_batches(n, batch_size, rng):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+def fit(nets, step, n, opts: TrainOpts, streams):
+    """Adam over the parameters of ``nets`` on shuffled minibatches of rows
+    ``range(n)``, with (shuffle, dropout) streams ``(opts.seed, streams[i])``.
+
+    ``step(idx, drop_rng)`` runs one minibatch's forward pass, loss and
+    backward pass and returns its mean loss.  Returns the per-epoch,
+    row-weighted mean losses; a non-finite one raises :class:`NumericalError`.
+    """
+    shuffle_rng = np.random.default_rng([opts.seed, streams[0]])
+    drop_rng = np.random.default_rng([opts.seed, streams[1]])
+    adam = Adam([p for net in nets for p in net.params], lr=opts.lr)
+    history = []
+    for epoch in range(opts.epochs):
+        total, count = 0.0, 0
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, opts.batch_size):
+            idx = order[start:start + opts.batch_size]
+            loss = step(idx, drop_rng)
+            adam.step([g for net in nets for g in net.grads])
+            total += loss * len(idx)
+            count += len(idx)
+        history.append(total / count)
+        if not np.isfinite(history[-1]):
+            raise NumericalError(
+                f"training diverged at epoch {epoch}: loss={history[-1]!r}; "
+                f"last finite losses: {history[-5:]}", loss_history=history)
+    return history
+
+
+def classifier_step(net: Network, X, y):
+    """Minibatch step of cross-entropy training of ``net`` for :func:`fit`."""
+    def step(idx, rng):
+        loss, dscores = cross_entropy(net.forward(X[idx], train=True, rng=rng),
+                                      y[idx])
+        net.backward(dscores)
+        return loss
+    return step
 
 
 def train_classifier(X, y, netspec: dict, opts: TrainOpts):
@@ -104,22 +134,8 @@ def train_classifier(X, y, netspec: dict, opts: TrainOpts):
     net = Network(netspec, seed=opts.seed)
     X = np.asarray(X, dtype=net.dtype)
     y = np.asarray(y, dtype=np.int64)
-    shuffle_rng = np.random.default_rng([opts.seed, 0x5348])
-    drop_rng = np.random.default_rng([opts.seed, 0x4452])
-    adam = Adam(net.params, lr=opts.lr)
-    history = []
-    for epoch in range(opts.epochs):
-        total, count = 0.0, 0
-        for idx in _epoch_batches(len(y), opts.batch_size, shuffle_rng):
-            scores = net.forward(X[idx], train=True, rng=drop_rng)
-            loss, dscores = cross_entropy(scores, y[idx])
-            net.backward(dscores)
-            adam.step(net.grads)
-            total += loss * len(idx)
-            count += len(idx)
-        history.append(total / count)
-        _check_finite_loss(history[-1], epoch, history)
-    return net, history
+    return net, fit([net], classifier_step(net, X, y), len(y), opts,
+                    _TRAIN_STREAMS)
 
 
 def train_estimator(X, S, netspec: dict, opts: TrainOpts):
@@ -127,22 +143,12 @@ def train_estimator(X, S, netspec: dict, opts: TrainOpts):
     net = Network(netspec, seed=opts.seed)
     X = np.asarray(X, dtype=net.dtype)
     S = np.asarray(S, dtype=net.dtype)
-    shuffle_rng = np.random.default_rng([opts.seed, 0x5348])
-    drop_rng = np.random.default_rng([opts.seed, 0x4452])
-    adam = Adam(net.params, lr=opts.lr)
-    history = []
-    for epoch in range(opts.epochs):
-        total, count = 0.0, 0
-        for idx in _epoch_batches(len(X), opts.batch_size, shuffle_rng):
-            out = net.forward(X[idx], train=True, rng=drop_rng)
-            loss, dout = mse(out, S[idx])
-            net.backward(dout)
-            adam.step(net.grads)
-            total += loss * len(idx)
-            count += len(idx)
-        history.append(total / count)
-        _check_finite_loss(history[-1], epoch, history)
-    return net, history
+
+    def step(idx, rng):
+        loss, dout = mse(net.forward(X[idx], train=True, rng=rng), S[idx])
+        net.backward(dout)
+        return loss
+    return net, fit([net], step, len(X), opts, _TRAIN_STREAMS)
 
 
 def _combined_accuracy(nse: Network, nsc: Network, X, y):
@@ -172,33 +178,25 @@ def fine_tune(nse: Network, nsc: Network, X, S, y, opts: TrainOpts,
     guard_rng = np.random.default_rng([opts.seed, 0x4754])
     order = guard_rng.permutation(len(y))
     n_guard = max(1, int(len(y) * guard_fraction)) if len(y) else 0
-    guard, fit = order[:n_guard], order[n_guard:]
+    guard, train_rows = order[:n_guard], order[n_guard:]
 
     saved = (nse.get_weights(), nsc.get_weights())
     acc_before = _combined_accuracy(nse, nsc, X[guard], y[guard])
 
-    shuffle_rng = np.random.default_rng([opts.seed, 0x5348])
-    drop_rng = np.random.default_rng([opts.seed, 0x4452])
-    adam = Adam(nse.params + nsc.params, lr=opts.lr)
-    history = []
+    def step(idx, rng):
+        rows = train_rows[idx]
+        s_hat = nse.forward(X[rows], train=True, rng=rng)
+        scores = nsc.forward(s_hat, train=True, rng=rng)
+        ce_loss, dscores = cross_entropy(scores, y[rows])
+        mse_loss, ds_hat = mse(s_hat, S[rows])
+        nse.backward(ds_hat + nsc.backward(dscores))
+        return ce_loss + mse_loss
+
     diverged = False
-    for epoch in range(opts.epochs):
-        total, count = 0.0, 0
-        for idx in _epoch_batches(len(fit), opts.batch_size, shuffle_rng):
-            rows = fit[idx]
-            s_hat = nse.forward(X[rows], train=True, rng=drop_rng)
-            scores = nsc.forward(s_hat, train=True, rng=drop_rng)
-            ce_loss, dscores = cross_entropy(scores, y[rows])
-            mse_loss, ds_hat = mse(s_hat, S[rows])
-            ds_hat = ds_hat + nsc.backward(dscores)
-            nse.backward(ds_hat)
-            adam.step(nse.grads + nsc.grads)
-            total += (ce_loss + mse_loss) * len(rows)
-            count += len(rows)
-        history.append(total / count)
-        if not np.isfinite(history[-1]):
-            diverged = True
-            break
+    try:
+        history = fit([nse, nsc], step, len(train_rows), opts, _TRAIN_STREAMS)
+    except NumericalError as exc:
+        history, diverged = exc.loss_history, True
 
     acc_after = _combined_accuracy(nse, nsc, X[guard], y[guard])
     reverted = False

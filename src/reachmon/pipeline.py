@@ -22,9 +22,15 @@ from .benchmarks import get_spec
 from .config import ExperimentConfig
 from .conformal import CalibrationSet
 from .data import Dataset, Scaler, gen_independent, gen_sequential, load, save, scale, split
-from .detect import RejectionRule, cv_uncertainty_labels, train_rule
+from .detect import RejectionRule, check_folds
 from .errors import ConfigError, MissingArtifact
-from .evaluate import calibration_scores, dataset_hash, full_report
+from .evaluate import (
+    RULE_STREAM,
+    calibration_scores,
+    dataset_hash,
+    full_report,
+    rule_from_monitor,
+)
 from .monitor import TrainSchedule, monitor_predict, train_monitor
 from .nets import load_model, save_model
 from .storage import load_container, save_container
@@ -105,19 +111,12 @@ def cmd_gen(cfg: ExperimentConfig) -> str:
 
 # --- train --------------------------------------------------------------------
 
-def _rule_from_monitor(monitor, calib_scaled, k_folds, seed):
-    lik = monitor_predict(monitor, calib_scaled)["likelihoods"]
-    feats, errs = cv_uncertainty_labels(
-        lik, calib_scaled.labels, k_folds,
-        np.random.default_rng([seed, 0x4356]))
-    return train_rule(feats, errs, seed=seed)
-
-
 def cmd_train(cfg: ExperimentConfig) -> str:
     """Split, scale, train, calibrate and fit the rejection rule; writes a
     bundle directory and returns its path."""
     if not cfg.data or not cfg.out:
         raise ConfigError("train requires --data and --out")
+    check_folds(cfg.n_calib, cfg.k_folds)  # fail before training, not after
     dataset = load(cfg.data)
     # the dataset, not the config (``train`` has no --model), names the model
     cfg = replace(cfg, model=dataset.model_name)
@@ -132,7 +131,9 @@ def cmd_train(cfg: ExperimentConfig) -> str:
                                          epochs_scale=cfg.epochs_scale)
     monitor = train_monitor(train_scaled, cfg.approach, schedule)
     calib = calibration_scores(monitor, calib_scaled)
-    rule = _rule_from_monitor(monitor, calib_scaled, cfg.k_folds, cfg.seed)
+    rule = rule_from_monitor(monitor, calib_scaled, cfg.k_folds,
+                             np.random.default_rng([cfg.seed, RULE_STREAM]),
+                             cfg.seed)
 
     bundle = cfg.out
     save(train_ds, os.path.join(bundle, "datasets", "train"))

@@ -6,6 +6,8 @@ jump/reset rule, the observation map and the unsafe-set predicate.  One
 transition integrates the dynamics over ``dt`` with a fixed-step classic
 Runge-Kutta scheme, holding the control computed at the step start constant,
 and then applies the jump rule once to the post-integration state.
+:func:`flow` is the one integrator: :func:`step_batch` (simulation, reach
+labels, the UKF) and dataset generation both call it.
 
 All callables operate on batches: states are ``(B, state_dim)`` arrays and
 modes are ``(B,)`` integer arrays, so large numbers of trajectories can be
@@ -121,22 +123,24 @@ def _rk4(spec, V, A, Q, t, h):
     return V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step_batch(spec: HybridSystemSpec, V: np.ndarray, Q: np.ndarray,
-               t: float = 0.0, substeps: int = 1):
-    """One transition for a batch of states; returns ``(V', Q')``.
-
-    Control is evaluated once at the step start and held constant over the
-    Runge-Kutta stages; the jump rule runs once on the integrated state.
-    ``substeps`` refines the integration grid inside the step without
-    changing the control/jump cadence, which is part of the discrete-time
-    model semantics; refinement only tightens the numerical solution of the
-    frozen-input flow.
-    """
+def flow(spec: HybridSystemSpec, V: np.ndarray, Q: np.ndarray, t: float,
+         substeps: int = 1) -> np.ndarray:
+    """Continuous part of one transition for a batch of states: control is
+    evaluated at the step start ``t`` and held over ``substeps`` Runge-Kutta
+    steps of ``dt / substeps``.  Sub-steps only refine the frozen-input flow;
+    the control/jump cadence is part of the discrete-time model."""
     A = spec.control(V, Q)
     h = spec.dt / substeps
-    V1 = V
     for i in range(substeps):
-        V1 = _rk4(spec, V1, A, Q, t + i * h, h)
+        V = _rk4(spec, V, A, Q, t + i * h, h)
+    return V
+
+
+def step_batch(spec: HybridSystemSpec, V: np.ndarray, Q: np.ndarray,
+               t: float = 0.0, substeps: int = 1):
+    """One transition for a batch of states: :func:`flow`, which must stay
+    finite, then the jump rule once; returns ``(V', Q')``."""
+    V1 = flow(spec, V, Q, t, substeps)
     if not np.isfinite(V1).all():
         raise IntegrationDiverged(f"{spec.name}: non-finite state after integration")
     return spec.jump(V1, Q)

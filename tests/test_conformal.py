@@ -11,9 +11,8 @@ from reachmon.conformal import (
     coverage,
     efficiency_classification,
     efficiency_regression,
-    ncf_classification,
+    ncf_classification_batch,
     ncf_regression,
-    p_value,
     p_values_batch,
     regress_region,
     regression_radius,
@@ -30,20 +29,23 @@ def p_value_oracle(scores, alpha_star, theta):
 
 class TestNcf:
     def test_perfect_prediction(self):
-        assert ncf_classification([1.0, 0.0], 0) == 0.0
+        assert ncf_classification_batch([[1.0, 0.0]], [0])[0] == 0.0
 
     def test_direct_formula(self):
-        assert ncf_classification([0.3, 0.7], 0) == pytest.approx(0.7)
+        assert ncf_classification_batch([[0.3, 0.7]], [0])[0] == pytest.approx(0.7)
 
     def test_symmetric(self):
-        assert ncf_classification([0.5, 0.5], 0) == 0.5
-        assert ncf_classification([0.5, 0.5], 1) == 0.5
+        assert list(ncf_classification_batch([[0.5, 0.5]] * 2, [0, 1])) == [0.5, 0.5]
 
     def test_unnormalized_rejected(self):
         with pytest.raises(InvalidLikelihoods):
-            ncf_classification([0.5, 0.6], 0)
+            ncf_classification_batch([[0.3, 0.7], [0.5, 0.6]], [0, 0])
         with pytest.raises(InvalidLikelihoods):
-            ncf_classification([1.2, -0.2], 0)
+            ncf_classification_batch([[1.2, -0.2]], [0])
+        with pytest.raises(InvalidLikelihoods):
+            ncf_classification_batch([0.3, 0.7], [0])
+        with pytest.raises(InvalidLikelihoods):
+            ncf_classification_batch([[0.3, 0.7]], [2])
 
     def test_regression_zero(self):
         x = np.arange(6.0).reshape(2, 3)
@@ -66,27 +68,28 @@ class TestNcf:
 class TestPValue:
     def test_quarter(self):
         calib = CalibrationSet([0.1, 0.2, 0.3])
-        assert p_value(calib, 0.25, 0.0) == pytest.approx(0.25)
+        assert p_values_batch(calib, [0.25], [0.0])[0] == pytest.approx(0.25)
 
     def test_tie_case(self):
         calib = CalibrationSet([0.1, 0.2, 0.3])
-        assert p_value(calib, 0.2, 1.0) == pytest.approx(0.75)
+        assert p_values_batch(calib, [0.2], [1.0])[0] == pytest.approx(0.75)
 
     def test_extreme_score(self):
         # score above every calibration value: no counts survive except the
         # smoothing term, so p = theta / (n + 1)
         calib = CalibrationSet([0.1, 0.2, 0.3])
-        assert p_value(calib, 0.9, 0.0) == 0.0
-        assert p_value(calib, 0.9, 1.0) == pytest.approx(0.25)
+        p = p_values_batch(calib, [0.9, 0.9], [0.0, 1.0])
+        assert p[0] == 0.0 and p[1] == pytest.approx(0.25)
 
     @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=200),
            st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle_bitwise(self, scores, alpha, theta):
         calib = CalibrationSet(scores)
-        assert p_value(calib, alpha, theta) == p_value_oracle(scores, alpha, theta)
+        assert (p_values_batch(calib, [alpha], [theta])[0]
+                == p_value_oracle(scores, alpha, theta))
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_oracle_with_ties(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(size=500)
         calib = CalibrationSet(scores)
@@ -94,7 +97,7 @@ class TestPValue:
         thetas = rng.uniform(size=120)
         batch = p_values_batch(calib, alphas, thetas)
         for i in range(120):
-            assert batch[i] == p_value(calib, alphas[i], thetas[i])
+            assert batch[i] == p_value_oracle(scores, alphas[i], thetas[i])
 
 
 class TestRegions:
@@ -158,20 +161,16 @@ class TestRegions:
 
 class TestUncertainty:
     def test_definitional(self):
-        u = confidence_credibility(0.8, 0.1)
-        assert u.confidence == pytest.approx(0.9)
-        assert u.credibility == pytest.approx(0.8)
+        (confidence, credibility), = confidence_credibility([[0.8, 0.1]])
+        assert confidence == pytest.approx(0.9)
+        assert credibility == pytest.approx(0.8)
 
     def test_maximal_ambiguity(self):
-        u = confidence_credibility(0.5, 0.5)
-        assert u.confidence == 0.5 and u.credibility == 0.5
+        assert confidence_credibility([[0.5, 0.5]]).tolist() == [[0.5, 0.5]]
 
     def test_credibility_bounds_gamma(self):
-        rng = np.random.default_rng(5)
-        for _ in range(500):
-            p0, p1 = rng.uniform(size=2)
-            u = confidence_credibility(p0, p1)
-            assert u.credibility >= 1.0 - u.confidence
+        u = confidence_credibility(np.random.default_rng(5).uniform(size=(500, 2)))
+        assert (u[:, 1] >= 1.0 - u[:, 0]).all()
 
     def test_singleton_band(self):
         # for eps in [gamma, credibility) the region is exactly the

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from reachmon.conformal import UncertaintyPair
 from reachmon.detect import (
     DegenerateRule,
     RejectionRule,
     cv_uncertainty_labels,
     detection_metrics,
-    reject,
     reject_batch,
     train_rule,
 )
@@ -110,11 +108,11 @@ class TestTrainRule:
         back = RejectionRule.from_dict(rule.to_dict())
         assert np.array_equal(reject_batch(back, X), reject_batch(rule, X))
 
-    def test_reject_accepts_uncertainty_pair(self):
+    def test_reject_batch_flags_each_row(self):
         X, y = _clouds(seed=6)
         rule = train_rule(X, y, seed=0)
-        u = UncertaintyPair(confidence=0.6, credibility=0.1)
-        assert isinstance(reject(rule, u), bool)
+        flags = reject_batch(rule, [[0.6, 0.1], [0.95, 0.8]])
+        assert flags.dtype == bool and flags.tolist() == [True, False]
 
 
 class TestDetectionMetrics:

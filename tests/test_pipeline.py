@@ -1,9 +1,24 @@
+import hashlib
 import json
+import os
+import shutil
 
 import pytest
+from conftest import write_linear_file
 
 from reachmon import cli, pipeline
 from reachmon.config import load_config
+from reachmon.errors import InsufficientData
+
+
+def _tree_digests(root):
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
 
 
 class TestConfigPrecedence:
@@ -51,3 +66,65 @@ class TestBundleModel:
         csv = (tmp_path / "bundle" / "reports" / "active.csv").read_text()
         rows = csv.splitlines()[1:]
         assert rows and all(r.startswith("lalo,") for r in rows)
+
+    def test_linear_bundle_reloads_from_another_directory(self, tmp_path,
+                                                           monkeypatch):
+        made, other = tmp_path / "made", tmp_path / "other"
+        made.mkdir()
+        other.mkdir()
+        monkeypatch.chdir(made)
+        write_linear_file(made / "sys.txt")
+        conf = made / "small.conf"
+        conf.write_text("epochs_scale = 0.02\nk_folds = 2\n")
+        common = ["--config", str(conf)]
+        assert cli.main(["gen", "--model", "linear:sys.txt", "--n", "400",
+                         "--out", "data", *common]) == cli.EXIT_OK
+        assert cli.main(["train", "--data", "data", "--out", "bundle",
+                         "--n-train", "200", "--n-calib", "120",
+                         "--n-test", "80", *common]) == cli.EXIT_OK
+        monkeypatch.chdir(other)
+        assert cli.main(["anomaly", "--bundle", str(made / "bundle"),
+                         *common]) == cli.EXIT_OK
+
+
+class TestTrainPreconditions:
+    def test_small_calibration_split_fails_before_training(self, tmp_path,
+                                                           monkeypatch):
+        data = str(tmp_path / "data")
+        assert cli.main(["gen", "--model", "ip", "--n", "300",
+                         "--out", data]) == cli.EXIT_OK
+        def no_training(*args):
+            raise AssertionError("train_monitor ran before the fold check")
+
+        monkeypatch.setattr(pipeline, "train_monitor", no_training)
+        # n_calib // k_folds = 80 // 5 = 16 < MIN_FOLD_SIZE
+        with pytest.raises(InsufficientData):
+            cli.main(["train", "--data", data, "--out", str(tmp_path / "b"),
+                      "--n-train", "200", "--n-calib", "80", "--n-test", "20"])
+
+
+class TestRerun:
+    def test_rerun_is_byte_identical(self, tmp_path):
+        conf = tmp_path / "small.conf"
+        conf.write_text("epochs_scale = 0.07\nk_folds = 2\npool = 100\n"
+                        "n_se_points = 10\n")
+        out = tmp_path / "out"
+        data, bundle = str(out / "data"), str(out / "bundle")
+        common = ["--config", str(conf)]
+        commands = [
+            ["gen", "--model", "lalo", "--n", "400", "--seed", "3",
+             "--out", data],
+            ["train", "--data", data, "--out", bundle, "--n-train", "200",
+             "--n-calib", "120", "--n-test", "80"],
+            ["eval", "--bundle", bundle],
+            ["active", "--bundle", bundle],
+            ["anomaly", "--bundle", bundle],
+            ["compare-se", "--bundle", bundle],
+        ]
+        runs = []
+        for _ in range(2):
+            shutil.rmtree(out, ignore_errors=True)
+            for argv in commands:
+                assert cli.main(argv + common) == cli.EXIT_OK
+            runs.append(_tree_digests(out))
+        assert len(runs[0]) > 40 and runs[0] == runs[1]
