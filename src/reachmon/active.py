@@ -10,7 +10,7 @@ iteration to rule out contamination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -125,12 +125,18 @@ def al_iteration(state: ALState, pool_ds: Dataset, test_ds: Dataset,
 
     train_scaled = scale(state.train_ds, state.scaler)
     if warm:
-        state.monitor = continue_training(state.monitor, train_scaled,
-                                          state.schedule)
+        row["retrain"] = continue_training(state.monitor, train_scaled,
+                                           state.schedule)
     else:
-        cold = TrainSchedule.for_profile(
-            state.schedule.profile, seed=state.seed + state.iteration + 1)
+        seed = state.seed + state.iteration + 1
+        s = state.schedule
+        cold = replace(s, classifier=replace(s.classifier, seed=seed),
+                       estimator=replace(s.estimator, seed=seed),
+                       finetune=replace(s.finetune, seed=seed))
         state.monitor = train_monitor(train_scaled, state.approach, cold)
+        row["retrain"] = {k: state.monitor.meta[k]
+                          for k in ("loss_history", "finetune")
+                          if k in state.monitor.meta}
 
     calib_scaled = scale(state.calib_ds, state.scaler)
     state.calib = calibration_scores(state.monitor, calib_scaled)

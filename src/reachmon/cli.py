@@ -18,10 +18,13 @@ from .errors import (
     ConfigError,
     FilterDiverged,
     GenerationFailed,
+    InsufficientData,
     IntegrationDiverged,
     IntegrityError,
+    InvalidLikelihoods,
     MissingArtifact,
     NumericalError,
+    ShapeError,
 )
 
 EXIT_OK = 0
@@ -174,14 +177,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except ConfigError as exc:
+    except (ConfigError, InsufficientData, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MissingArtifact as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (NumericalError, IntegrationDiverged, FilterDiverged,
-            GenerationFailed) as exc:
+            GenerationFailed, InvalidLikelihoods) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IntegrityError as exc:

@@ -69,6 +69,8 @@ class ExperimentConfig:
                     "k_folds", "windows_per_traj", "seq_len", "n_se_points"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be nonnegative")
+        if self.k_folds < 2:
+            raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
         if self.noise_scale < 0:
             raise ConfigError("noise_scale must be nonnegative")
         if not self.model.startswith("linear:"):

@@ -1,7 +1,11 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto its exit codes: config problems -> 2, missing
-artifacts -> 3, numeric failures -> 4, integrity failures -> 5.
+The CLI maps these onto its exit codes: configuration problems
+(:class:`ConfigError`, :class:`InsufficientData`, :class:`ShapeError`) -> 2,
+missing artifacts -> 3, numeric failures (:class:`NumericalError`,
+:class:`IntegrationDiverged`, :class:`FilterDiverged`,
+:class:`GenerationFailed`, :class:`InvalidLikelihoods`) -> 4, integrity
+failures -> 5.
 """
 
 

@@ -104,24 +104,30 @@ def train_monitor(train_scaled: Dataset, approach: str,
 
 
 def continue_training(model: MonitorModel, train_scaled: Dataset,
-                      schedule: TrainSchedule) -> MonitorModel:
+                      schedule: TrainSchedule) -> dict:
     """Warm-start retraining on an enlarged split (active learning).
 
     End-to-end monitors continue cross-entropy training from the current
     weights; two-step monitors continue with the joint combined-loss stage,
-    which directly optimizes the deployed composition.
+    which directly optimizes the deployed composition.  The nets are updated
+    in place.  Returns what the retraining did, laid out as in
+    ``train_monitor``'s meta: ``loss_history`` per stage and, for two-step
+    monitors, the ``finetune`` outcome (``reverted``, ``diverged`` and the
+    guard accuracies).
     """
     X = obs_windows(train_scaled)
     y = train_scaled.labels
     if model.kind == "end_to_end":
         net = model.nets["classifier"]
         # shuffle and dropout streams apart from the first training's
-        fit([net], classifier_step(net, X, y), len(y), schedule.classifier,
-            (0x5741, 0x4453))
-        return model
+        hist = fit([net], classifier_step(net, X, y), len(y),
+                   schedule.classifier, (0x5741, 0x4453))
+        return {"loss_history": {"classifier": hist}}
     S = state_windows(train_scaled)
-    fine_tune(model.nets["nse"], model.nets["nsc"], X, S, y, schedule.finetune)
-    return model
+    ft_info = fine_tune(model.nets["nse"], model.nets["nsc"], X, S, y,
+                        schedule.finetune)
+    return {"loss_history": {"finetune": ft_info.pop("loss_history")},
+            "finetune": ft_info}
 
 
 def monitor_predict(model: MonitorModel, ds_scaled: Dataset) -> dict:

@@ -34,7 +34,7 @@ from .evaluate import (
 from .monitor import TrainSchedule, monitor_predict, train_monitor
 from .nets import load_model, save_model
 from .storage import load_container, save_container
-from .ukf import UKFConfig, relative_error, ukf_estimate
+from .ukf import relative_error, ukf_estimate
 
 REPORT_COLUMNS = ["model", "approach", "setting", "seed", "eps", "accuracy",
                   "detection", "fn", "fp", "rejection", "coverage",
@@ -340,14 +340,12 @@ def cmd_compare_se(cfg: ExperimentConfig) -> dict:
     nse_states = b.scaler.unscale_states(est_scaled)
     ranges = b.scaler.state_ranges()
 
-    ukf_cfg = UKFConfig()
-    nse_err = np.empty(n_points)
-    ukf_err = np.empty(n_points)
-    for i in range(n_points):
-        true_states = subset.states[i].astype(np.float64)
-        nse_err[i] = relative_error(true_states, nse_states[i], ranges)
-        ukf_states = ukf_estimate(spec, subset.obs[i].astype(np.float64), ukf_cfg)
-        ukf_err[i] = relative_error(true_states, ukf_states, ranges)
+    ukf_states = ukf_estimate(spec, subset.obs)
+    true_states = subset.states.astype(np.float64)
+    nse_err = np.array([relative_error(s, e, ranges)
+                        for s, e in zip(true_states, nse_states)])
+    ukf_err = np.array([relative_error(s, e, ranges)
+                        for s, e in zip(true_states, ukf_states)])
 
     report = {
         "n_points": int(n_points),

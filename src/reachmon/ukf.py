@@ -15,9 +15,11 @@ is scored by the Gaussian log-likelihood of its innovations,
 most likely hypothesis are returned.  A hypothesis whose covariance breaks
 down or whose state becomes non-finite is dropped.
 
-Cost: ``len(spec.modes)`` filter runs per window (8 on ``twt``).  A
-single-mode model has nothing to compare, so it runs one filter and skips
-the likelihood altogether.  Mode probabilities do not interact between
+Cost: one call filters a whole batch of windows.  Every (window, starting
+mode) hypothesis runs in one lockstep pass over time, with stacked LAPACK
+calls and one transition and one observation call per step on all sigma
+points.  A single-mode model has nothing to compare, so it skips the
+likelihood altogether.  Mode probabilities do not interact between
 hypotheses (this is not an IMM filter).
 """
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterDiverged, IntegrationDiverged, ShapeError
-from .systems import HybridSystemSpec, step_batch
+from .systems import HybridSystemSpec, flow, step_batch
 
 
 @dataclass
@@ -54,108 +56,144 @@ def _chol(P, cfg: UKFConfig):
     raise FilterDiverged("covariance lost positive definiteness")
 
 
-def _sigma_points(x, P, cfg: UKFConfig):
-    n = x.size
+def _stacked(fn, *stacks, retry=None):
+    """``fn`` on stacks of matrices, as one call.  When that call raises,
+    each row is retried alone with ``retry`` (default ``fn``).  Returns
+    ``(out, ok)``; a row that raises again is NaN in ``out`` and false in
+    ``ok``.  ``out`` has the shape of the last stack, as for ``solve`` and
+    ``cholesky``."""
+    ok = np.ones(len(stacks[0]), dtype=bool)
+    try:
+        return fn(*stacks), ok
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(stacks[-1].shape, np.nan)
+    for i in range(len(ok)):
+        try:
+            out[i] = (retry or fn)(*(s[i] for s in stacks))
+        except (np.linalg.LinAlgError, FilterDiverged):
+            ok[i] = False
+    return out, ok
+
+
+def _weighted_outer(a, w, b):
+    """``sum_k w_k a_k b_k'`` per hypothesis for (M, K, .) stacks."""
+    return (a * w[:, None]).transpose(0, 2, 1) @ b
+
+
+def ukf_estimate(spec: HybridSystemSpec, obs, cfg: UKFConfig | None = None
+                 ) -> np.ndarray:
+    """Forward filtered state estimates for a batch of observation windows.
+
+    ``obs`` is (N, H_p+1, obs_dim) in physical units; returns the
+    (N, H_p+1, state_dim) posterior state means.  Each window gets one
+    hypothesis per starting mode in ``spec.modes``, and the estimates of the
+    hypothesis with the largest innovation log-likelihood are returned; a
+    single-mode model skips the likelihood.  All ``N * len(spec.modes)``
+    hypotheses run in one lockstep pass.  Hypotheses that diverge are
+    dropped; :class:`FilterDiverged` is raised when every hypothesis of some
+    window does.
+    """
+    cfg = cfg or UKFConfig()
+    Y = np.asarray(obs, dtype=np.float64)
+    if Y.ndim != 3 or Y.shape[2] != spec.obs_dim:
+        raise ShapeError(f"obs shape {Y.shape} != (N, L, {spec.obs_dim})")
+    N, L, _ = Y.shape
+    n, K = spec.state_dim, 2 * spec.state_dim + 1
+    n_modes = len(spec.modes)
+    score = n_modes > 1
+
     lam = cfg.alpha ** 2 * (n + cfg.kappa) - n
-    L = _chol((n + lam) * P, cfg)
-    pts = np.empty((2 * n + 1, n))
-    pts[0] = x
-    pts[1:n + 1] = x + L.T
-    pts[n + 1:] = x - L.T
-    wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
+    wm = np.full(K, 1.0 / (2.0 * (n + lam)))
     wc = wm.copy()
     wm[0] = lam / (n + lam)
     wc[0] = wm[0] + (1.0 - cfg.alpha ** 2 + cfg.beta)
-    return pts, wm, wc
-
-
-def ukf_estimate(spec: HybridSystemSpec, obs_seq, cfg: UKFConfig | None = None
-                 ) -> np.ndarray:
-    """Forward filtered state estimates for one observation window.
-
-    ``obs_seq`` is the (H_p+1, obs_dim) window in physical units; returns
-    the posterior state means, one per time index.  One filter runs per
-    starting mode in ``spec.modes``; the estimates of the hypothesis with
-    the largest innovation log-likelihood are returned, so a window costs
-    ``len(spec.modes)`` filter runs (8 on ``twt``).  A single-mode model
-    runs one filter and skips the likelihood.  Hypotheses that diverge are
-    dropped; :class:`FilterDiverged` is raised only when all of them do.
-    """
-    cfg = cfg or UKFConfig()
-    Y = np.asarray(obs_seq, dtype=np.float64)
-    if Y.ndim != 2 or Y.shape[1] != spec.obs_dim:
-        raise ShapeError(f"obs_seq shape {Y.shape} != (L, {spec.obs_dim})")
-    if len(spec.modes) == 1:
-        return _filter(spec, Y, spec.modes[0], cfg, score=False)[0]
-
-    best, best_ll = None, -np.inf
-    for q in spec.modes:
-        try:
-            est, ll = _filter(spec, Y, q, cfg, score=True)
-        except FilterDiverged:
-            continue
-        if ll > best_ll:
-            best, best_ll = est, ll
-    if best is None:
-        raise FilterDiverged(f"{spec.name}: every mode hypothesis diverged")
-    return best
-
-
-def _filter(spec: HybridSystemSpec, Y, q: int, cfg: UKFConfig, score: bool):
-    """One UKF run whose mode starts at ``q`` and follows the jump rule of
-    the central sigma point.  Returns ``(estimates, log_likelihood)``; the
-    log-likelihood sums ``-(v'S^-1 v + log det S) / 2`` over the innovations
-    ``v`` when ``score`` is set and is 0.0 otherwise."""
-    n = spec.state_dim
-    x = (spec.init_lo + spec.init_hi) / 2.0
-    P = np.diag(((spec.init_hi - spec.init_lo) ** 2) / 12.0 + cfg.meas_noise_floor)
     R = np.diag(np.maximum(spec.noise_std ** 2, cfg.meas_noise_floor))
     Qproc = cfg.process_noise * np.eye(n)
-    loglik = 0.0
 
-    estimates = np.empty((Y.shape[0], n))
+    # One row per live hypothesis, ``hyp = window * n_modes + mode index``;
+    # a hypothesis that diverges is removed from every per-row array.
+    M = N * n_modes
+    hyp = np.arange(M)
+    q = np.tile(np.asarray(spec.modes, dtype=np.int64), N)
+    x = np.tile((spec.init_lo + spec.init_hi) / 2.0, (M, 1))
+    P = np.tile(np.diag(((spec.init_hi - spec.init_lo) ** 2) / 12.0
+                        + cfg.meas_noise_floor), (M, 1, 1))
+    loglik = np.zeros(M)
+    estimates = np.empty((M, L, n))
+
     with np.errstate(all="ignore"):
-        for t in range(Y.shape[0]):
+        for t in range(L):
+            # sigma points; a factor that fails even with jitter leaves NaN
+            # points, so its hypothesis is dropped further on
+            Lc, _ = _stacked(np.linalg.cholesky, (n + lam) * P,
+                             retry=lambda A: _chol(A, cfg))
+            Lt = Lc.transpose(0, 2, 1)
+            pts = np.empty((len(hyp), K, n))
+            pts[:, 0] = x
+            pts[:, 1:n + 1] = x[:, None] + Lt
+            pts[:, n + 1:] = x[:, None] - Lt
+            Qs = np.repeat(q, K)
             if t > 0:
-                pts, wm, wc = _sigma_points(x, P, cfg)
-                Qs = np.full(pts.shape[0], q, dtype=np.int64)
+                V = pts.reshape(-1, n)
                 try:
-                    pts_next, Qs_next = step_batch(spec, pts, Qs)
+                    V, Qs = step_batch(spec, V, Qs)
                 except IntegrationDiverged:
-                    raise FilterDiverged("sigma point became non-finite") from None
-                x = wm @ pts_next
-                d = pts_next - x
-                P = (d.T * wc) @ d + Qproc
-                P = 0.5 * (P + P.T)
-                q = int(Qs_next[0])
-                pts = pts_next
-            else:
-                pts, wm, wc = _sigma_points(x, P, cfg)
+                    # drop the hypotheses with a non-finite sigma point and
+                    # apply the jump rule to the rest
+                    V = flow(spec, V, Qs, 0.0)
+                    ok = np.isfinite(V).reshape(len(hyp), K * n).all(axis=1)
+                    hyp, q, loglik = hyp[ok], q[ok], loglik[ok]
+                    rows = np.repeat(ok, K)
+                    V, Qs = spec.jump(V[rows], Qs[rows])
+                pts = V.reshape(-1, K, n)
+                x = wm @ pts
+                d = pts - x[:, None]
+                P = _weighted_outer(d, wc, d) + Qproc
+                P = 0.5 * (P + P.transpose(0, 2, 1))
+                q = Qs[::K]
+                Qs = np.repeat(q, K)
 
-            # measurement update
-            Qs = np.full(pts.shape[0], q, dtype=np.int64)
-            Z = spec.observe_fn(pts, Qs)
+            # measurement update; a singular S leaves NaN in the row
+            Z = spec.observe_fn(pts.reshape(-1, n), Qs)
+            Z = Z.reshape(len(hyp), K, spec.obs_dim)
             z_hat = wm @ Z
-            dz = Z - z_hat
-            dx = pts - x
-            S = (dz.T * wc) @ dz + R
-            C = (dx.T * wc) @ dz
-            v = Y[t] - z_hat
-            try:
-                K = np.linalg.solve(S.T, C.T).T
-                if score:
-                    Ls = np.linalg.cholesky(S)
-                    w = np.linalg.solve(Ls, v)
-                    loglik -= 0.5 * (w @ w) + np.log(np.diag(Ls)).sum()
-            except np.linalg.LinAlgError:
-                raise FilterDiverged("innovation covariance is singular") from None
-            x = x + K @ v
-            P = P - K @ S @ K.T
-            P = 0.5 * (P + P.T)
-            if not np.isfinite(x).all():
-                raise FilterDiverged("filter state became non-finite")
-            estimates[t] = x
-    return estimates, loglik
+            dz = Z - z_hat[:, None]
+            S = _weighted_outer(dz, wc, dz) + R
+            C = _weighted_outer(pts - x[:, None], wc, dz)
+            v = Y[hyp // n_modes, t] - z_hat
+            # the gain is the transposed view of a C-ordered (M, obs_dim, n)
+            # solution, the memory layout the matrix products depend on
+            Kt, ok = _stacked(np.linalg.solve, S.transpose(0, 2, 1),
+                              C.transpose(0, 2, 1))
+            Kg = Kt.transpose(0, 2, 1)
+            if score:
+                Ls, ok_s = _stacked(np.linalg.cholesky, S)
+                w, ok_w = _stacked(np.linalg.solve, Ls, v[:, :, None])
+                ok &= ok_s & ok_w
+                logdet = np.log(np.diagonal(Ls, axis1=1, axis2=2)).sum(axis=1)
+                loglik = loglik - (0.5 * (w.transpose(0, 2, 1) @ w)[:, 0, 0]
+                                   + logdet)
+            x = x + (Kg @ v[:, :, None])[:, :, 0]
+            P = P - Kg @ S @ Kt
+            P = 0.5 * (P + P.transpose(0, 2, 1))
+            ok &= np.isfinite(x).all(axis=1)
+            if not ok.all():
+                hyp, q, x, P, loglik = (a[ok] for a in (hyp, q, x, P, loglik))
+            estimates[hyp, t] = x
+
+    if not score:
+        if len(hyp) < M:
+            raise FilterDiverged(f"{spec.name}: the filter diverged")
+        return estimates
+    # per window, the first hypothesis with the largest finite log-likelihood
+    ll = np.full(M, -np.inf)
+    ll[hyp] = np.where(loglik > -np.inf, loglik, -np.inf)
+    ll = ll.reshape(N, n_modes)
+    if not (ll > -np.inf).any(axis=1).all():
+        raise FilterDiverged(f"{spec.name}: every mode hypothesis diverged")
+    best = np.argmax(ll, axis=1)
+    return estimates.reshape(N, n_modes, L, n)[np.arange(N), best]
 
 
 def relative_error(true_seq, est_seq, state_range) -> float:

@@ -97,6 +97,8 @@ class TestIteration:
         assert state.train_ds.n + state.calib_ds.n == 1200 + 600
         ratio_after = state.train_ds.n / state.calib_ds.n
         assert abs(ratio_after - ratio_before) / ratio_before < 0.01
+        hist = rec["retrain"]["loss_history"]["classifier"]
+        assert len(hist) == al_setup["schedule"].classifier.epochs
 
     def test_calibration_recomputed_over_enlarged_set(self, al_setup):
         state = _fresh_state(al_setup, rule=_constant_rule(True))
@@ -121,6 +123,37 @@ class TestIteration:
             for key in ("accuracy", "detection_rate", "rejection_rate",
                         "coverage@0.05", "efficiency@0.1"):
                 assert key in rec[phase]
+
+
+class TestRetrainRecord:
+    def test_cold_retrain_keeps_epochs_scale(self, al_setup):
+        sched = TrainSchedule.for_profile("desk", seed=21, epochs_scale=0.05)
+        state = replace(_fresh_state(al_setup, rule=_constant_rule(True)),
+                        schedule=sched)
+        state = al_iteration(state, al_setup["pool"], al_setup["test"], [0.05],
+                             warm=False)
+        hist = state.history[0]["retrain"]["loss_history"]["classifier"]
+        assert len(hist) == sched.classifier.epochs == 3
+        assert state.monitor.meta["seed"] == 22
+
+    def test_diverging_warm_retrain_is_reverted_and_recorded(self, al_setup):
+        s = al_setup
+        sched = TrainSchedule.for_profile("desk", seed=21, epochs_scale=0.05)
+        monitor = train_monitor(scale(s["train"], s["scaler"]), "two_step", sched)
+        weights = monitor.nets["nse"].get_weights()
+        sched.finetune.lr, sched.finetune.epochs = 1e120, 2
+        calib = calibration_scores(monitor, scale(s["calib"], s["scaler"]))
+        state = ALState(monitor=monitor, calib=calib,
+                        rule=_constant_rule(True), train_ds=s["train"],
+                        calib_ds=s["calib"], scaler=s["scaler"],
+                        approach="two_step", schedule=sched, seed=21)
+        with np.errstate(all="ignore"):
+            state = al_iteration(state, s["pool"], s["test"], [0.05])
+        rec = state.history[0]["retrain"]
+        assert rec["finetune"]["diverged"] and rec["finetune"]["reverted"]
+        assert not np.isfinite(rec["loss_history"]["finetune"][-1])
+        for a, b in zip(state.monitor.nets["nse"].get_weights(), weights):
+            assert np.array_equal(a, b)
 
 
 class TestContinueTraining:

@@ -7,8 +7,8 @@ import pytest
 from conftest import write_linear_file
 
 from reachmon import cli, pipeline
-from reachmon.config import load_config
-from reachmon.errors import InsufficientData
+from reachmon.config import ExperimentConfig, load_config
+from reachmon.errors import ConfigError
 
 
 def _tree_digests(root):
@@ -98,33 +98,64 @@ class TestTrainPreconditions:
 
         monkeypatch.setattr(pipeline, "train_monitor", no_training)
         # n_calib // k_folds = 80 // 5 = 16 < MIN_FOLD_SIZE
-        with pytest.raises(InsufficientData):
-            cli.main(["train", "--data", data, "--out", str(tmp_path / "b"),
-                      "--n-train", "200", "--n-calib", "80", "--n-test", "20"])
+        assert cli.main(["train", "--data", data, "--out", str(tmp_path / "b"),
+                         "--n-train", "200", "--n-calib", "80",
+                         "--n-test", "20"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("k_folds", [0, 1])
+    def test_fewer_than_two_folds_is_a_config_error(self, tmp_path, k_folds):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(k_folds=k_folds).validate()
+        conf = tmp_path / "folds.conf"
+        conf.write_text(f"k_folds = {k_folds}\n")
+        assert cli.main(["gen", "--model", "ip", "--n", "10", "--config",
+                         str(conf), "--out", str(tmp_path / "d")]) == cli.EXIT_CONFIG
+
+
+def _rerun_digests(tmp_path, gen_args, train_args=(),
+                   compare_se_code=cli.EXIT_OK):
+    """Runs the six commands twice into the same paths; returns the file
+    digests of both runs."""
+    conf = tmp_path / "small.conf"
+    conf.write_text("epochs_scale = 0.07\nk_folds = 2\npool = 100\n"
+                    "n_se_points = 10\n")
+    out = tmp_path / "out"
+    data, bundle = str(out / "data"), str(out / "bundle")
+    common = ["--config", str(conf)]
+    commands = [
+        (["gen", *gen_args, "--seed", "3", "--out", data], cli.EXIT_OK),
+        (["train", "--data", data, "--out", bundle, "--n-train", "200",
+          "--n-calib", "120", "--n-test", "80", *train_args], cli.EXIT_OK),
+        (["eval", "--bundle", bundle], cli.EXIT_OK),
+        (["active", "--bundle", bundle], cli.EXIT_OK),
+        (["anomaly", "--bundle", bundle], cli.EXIT_OK),
+        (["compare-se", "--bundle", bundle], compare_se_code),
+    ]
+    runs = []
+    for _ in range(2):
+        shutil.rmtree(out, ignore_errors=True)
+        for argv, code in commands:
+            assert cli.main(argv + common) == code, argv
+        runs.append(_tree_digests(out))
+    return runs
 
 
 class TestRerun:
     def test_rerun_is_byte_identical(self, tmp_path):
-        conf = tmp_path / "small.conf"
-        conf.write_text("epochs_scale = 0.07\nk_folds = 2\npool = 100\n"
-                        "n_se_points = 10\n")
-        out = tmp_path / "out"
-        data, bundle = str(out / "data"), str(out / "bundle")
-        common = ["--config", str(conf)]
-        commands = [
-            ["gen", "--model", "lalo", "--n", "400", "--seed", "3",
-             "--out", data],
-            ["train", "--data", data, "--out", bundle, "--n-train", "200",
-             "--n-calib", "120", "--n-test", "80"],
-            ["eval", "--bundle", bundle],
-            ["active", "--bundle", bundle],
-            ["anomaly", "--bundle", bundle],
-            ["compare-se", "--bundle", bundle],
-        ]
-        runs = []
-        for _ in range(2):
-            shutil.rmtree(out, ignore_errors=True)
-            for argv in commands:
-                assert cli.main(argv + common) == cli.EXIT_OK
-            runs.append(_tree_digests(out))
+        runs = _rerun_digests(tmp_path, ["--model", "lalo", "--n", "400"])
+        assert len(runs[0]) > 40 and runs[0] == runs[1]
+
+    def test_sequential_hybrid_rerun_is_byte_identical(self, tmp_path):
+        # sn resets its potential through the jump rule inside the UKF
+        runs = _rerun_digests(tmp_path, ["--model", "sn", "--mode", "seq",
+                                         "--windows", "10", "--n", "400"])
+        assert "bundle/reports/compare_se.json" in runs[0]
+        assert len(runs[0]) > 40 and runs[0] == runs[1]
+
+    def test_end_to_end_rerun_is_byte_identical(self, tmp_path):
+        # an end-to-end monitor has no estimator to compare with the UKF
+        runs = _rerun_digests(tmp_path, ["--model", "lalo", "--n", "400"],
+                              ["--approach", "e2e"],
+                              compare_se_code=cli.EXIT_CONFIG)
+        assert "bundle/reports/compare_se.json" not in runs[0]
         assert len(runs[0]) > 40 and runs[0] == runs[1]
