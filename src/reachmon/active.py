@@ -137,6 +137,7 @@ def al_iteration(state: ALState, pool_ds: Dataset, test_ds: Dataset,
         row["retrain"] = {k: state.monitor.meta[k]
                           for k in ("loss_history", "finetune")
                           if k in state.monitor.meta}
+    state.monitor.meta.update(row["retrain"])  # checkpoints show the last retrain
 
     calib_scaled = scale(state.calib_ds, state.scaler)
     state.calib = calibration_scores(state.monitor, calib_scaled)

@@ -139,14 +139,11 @@ def confidence_credibility(p_values) -> np.ndarray:
 
 def classification_p_values(calib: CalibrationSet, likelihoods,
                             thetas) -> np.ndarray:
-    """P-values for both labels of each test point; one shared theta per
-    point.  Returns (N, 2)."""
+    """P-values for every label of each test point, in one broadcast pass;
+    one shared theta per point.  Returns (N, K)."""
     lik = np.asarray(likelihoods, dtype=np.float64)
     t = np.asarray(thetas, dtype=np.float64)
-    out = np.empty_like(lik)
-    for j in range(lik.shape[1]):
-        out[:, j] = p_values_batch(calib, 1.0 - lik[:, j], t)
-    return out
+    return p_values_batch(calib, 1.0 - lik, t[:, None])
 
 
 def coverage(regions, truths) -> float:

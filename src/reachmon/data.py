@@ -19,6 +19,7 @@ split only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -202,17 +203,94 @@ def _simulate_tolerant(spec, V0, Q0, n_steps):
     return Vs, Qs, ok
 
 
+def seed_words(seed) -> list:
+    """A non-negative int seed as little-endian 32-bit words, the entropy
+    ``np.random.SeedSequence`` takes from it (``0 -> [0]``)."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    return [(seed >> k) & 0xFFFFFFFF for k in range(0, seed.bit_length() or 1, 32)]
+
+
+def _substream(words, index, attempt, stream):
+    """The generator of ``default_rng([seed, index, attempt, stream])``,
+    seeded from one uint32 array, which is cheaper to coerce."""
+    return np.random.default_rng(
+        np.array([*words, index, attempt, stream], dtype=np.uint32))
+
+
 def _draw_initials(spec, seed, indices, attempts):
-    V = np.empty((len(indices), spec.state_dim))
+    """Initial states and modes of samples ``indices`` at ``attempts``.
+
+    Row ``r`` is ``lo + (hi - lo) * random(state_dim)`` on the substream
+    ``(seed, indices[r], attempts[r], _INIT_STREAM)``, the arithmetic of
+    ``Generator.uniform(lo, hi)``; its check for a non-finite range runs
+    once per call.
+    """
+    span = spec.init_hi - spec.init_lo
+    if not np.isfinite(span).all():
+        raise OverflowError(f"{spec.name}: init range exceeds valid bounds")
+    words = seed_words(seed)
+    U = np.empty((len(indices), spec.state_dim))
     for row, (i, a) in enumerate(zip(indices, attempts)):
-        rng = np.random.default_rng([seed, int(i), int(a), _INIT_STREAM])
-        V[row] = rng.uniform(spec.init_lo, spec.init_hi)
+        U[row] = _substream(words, i, a, _INIT_STREAM).random(spec.state_dim)
+    V = spec.init_lo + span * U
     return V, spec.init_mode(V)
 
 
 def _draw_noise(spec, seed, index, attempt, n_obs):
-    rng = np.random.default_rng([seed, int(index), int(attempt), _NOISE_STREAM])
+    """``(n_obs, obs_dim)`` noise of one sample or trajectory from the
+    substream ``(seed, index, attempt, _NOISE_STREAM)``; ``normal(0, 1)``,
+    since ``standard_normal`` can differ in the sign of zero."""
+    rng = _substream(seed_words(seed), index, attempt, _NOISE_STREAM)
     return rng.normal(0.0, 1.0, size=(n_obs, spec.obs_dim)) * spec.noise_std
+
+
+def _generate(spec, mode, seed, n, n_states, keep, W):
+    """``W`` stride-1 windows cut from the last ``keep`` of each of ``n``
+    simulated ``n_states``-state sequences, the windows ending at the last
+    ``W`` kept states; each sequence's noise is one draw.
+
+    A diverged simulation is redrawn from the sample's next substream, up to
+    ``MAX_RETRIES`` attempts.  One ``observe_fn`` call covers every kept
+    state, and one gather per output array cuts every window.
+    """
+    L = spec.window_len
+    trajs = np.empty((n, keep, spec.state_dim))
+    traj_modes = np.empty((n, keep), dtype=np.int64)
+    attempts = np.zeros(n, dtype=np.int64)
+    pending = np.arange(n)
+    while len(pending):
+        if (attempts[pending] >= MAX_RETRIES).any():
+            raise GenerationFailed(
+                f"{spec.name}: sample diverged {MAX_RETRIES} times in a row")
+        V0, Q0 = _draw_initials(spec, seed, pending, attempts[pending])
+        Vs, Qs, ok = _simulate_tolerant(spec, V0, Q0, n_states - 1)
+        rows = np.flatnonzero(ok)
+        trajs[pending[ok]] = Vs[-keep:, rows].transpose(1, 0, 2)
+        traj_modes[pending[ok]] = Qs[-keep:, rows].T
+        attempts[pending[~ok]] += 1
+        pending = pending[~ok]
+
+    obs = np.empty((n, keep, spec.obs_dim))
+    for i in range(n):
+        obs[i] = _draw_noise(spec, seed, i, attempts[i], keep)
+    obs += spec.observe_fn(trajs.reshape(-1, spec.state_dim),
+                           traj_modes.reshape(-1)).reshape(obs.shape)
+    # kept state t of sequence i is row i * keep + t of the flattened arrays
+    t = np.arange(W)[:, None] + np.arange(keep - W - L + 1, keep - W + 1)
+    rows = (np.arange(n)[:, None, None] * keep + t).reshape(-1, L)
+    states = trajs.reshape(-1, spec.state_dim)[rows]
+    modes = traj_modes.reshape(-1)[rows]
+    return Dataset(
+        model_name=spec.name, mode=mode,
+        obs=obs.reshape(-1, spec.obs_dim)[rows].astype(np.float32),
+        states=states.astype(np.float32),
+        labels=reach_label_batch(spec, states[:, -1], modes[:, -1]),
+        modes=modes.astype(np.int32),
+        traj_ids=np.repeat(np.arange(n, dtype=np.int32), W), seed=seed,
+        scaled=False, scaler=None,
+    )
 
 
 def gen_independent(spec: HybridSystemSpec, n: int, seq_len: int = SEQUENCE_LEN,
@@ -221,50 +299,13 @@ def gen_independent(spec: HybridSystemSpec, n: int, seq_len: int = SEQUENCE_LEN,
 
     Each sample starts from a fresh initial state, is simulated for a
     ``seq_len``-state sequence, and keeps the trailing ``H_p + 1`` window;
-    the label is the reach label of the window's last state.  Diverged
-    simulations are resampled from the sample's next substream, up to
-    ``MAX_RETRIES`` attempts.
+    the label is the reach label of the window's last state.
     """
     if seq_len < spec.window_len:
         raise ValueError(f"seq_len must be >= H_p+1 = {spec.window_len}")
     if n == 0:
         return _empty_dataset(spec, "independent", seed)
-
-    L = spec.window_len
-    states = np.empty((n, L, spec.state_dim), dtype=np.float64)
-    modes = np.empty((n, L), dtype=np.int64)
-    labels = np.empty(n, dtype=np.uint8)
-    attempts = np.zeros(n, dtype=np.int64)
-    pending = np.arange(n)
-    n_steps = seq_len - 1
-    while len(pending):
-        if (attempts[pending] >= MAX_RETRIES).any():
-            raise GenerationFailed(
-                f"{spec.name}: sample diverged {MAX_RETRIES} times in a row")
-        V0, Q0 = _draw_initials(spec, seed, pending, attempts[pending])
-        Vs, Qs, ok = _simulate_tolerant(spec, V0, Q0, n_steps)
-        good = pending[ok]
-        rows = np.flatnonzero(ok)
-        states[good] = Vs[-L:, rows].transpose(1, 0, 2)
-        modes[good] = Qs[-L:, rows].T
-        attempts[pending[~ok]] += 1
-        pending = pending[~ok]
-
-    labels[:] = reach_label_batch(spec, states[:, -1], modes[:, -1])
-    obs = np.empty((n, L, spec.obs_dim), dtype=np.float64)
-    obs_clean = spec.observe_fn(
-        states.reshape(-1, spec.state_dim), modes.reshape(-1)
-    ).reshape(n, L, spec.obs_dim)
-    for i in range(n):
-        obs[i] = obs_clean[i] + _draw_noise(spec, seed, i, attempts[i], L)
-
-    return Dataset(
-        model_name=spec.name, mode="independent",
-        obs=obs.astype(np.float32), states=states.astype(np.float32),
-        labels=labels, modes=modes.astype(np.int32),
-        traj_ids=np.arange(n, dtype=np.int32), seed=seed,
-        scaled=False, scaler=None,
-    )
+    return _generate(spec, "independent", seed, n, seq_len, spec.window_len, 1)
 
 
 def gen_sequential(spec: HybridSystemSpec, n_init: int, windows_per_traj: int,
@@ -276,6 +317,7 @@ def gen_sequential(spec: HybridSystemSpec, n_init: int, windows_per_traj: int,
     ``windows_per_traj`` overlapping ``seq_len``-state windows are cut at
     stride 1; consecutive windows share all but one underlying state and
     their observation noise, exactly as a runtime monitor would see them.
+    Each trajectory's noise is one draw, and the windows are one gather.
     """
     if windows_per_traj < 1:
         raise ValueError("windows_per_traj must be >= 1")
@@ -283,50 +325,9 @@ def gen_sequential(spec: HybridSystemSpec, n_init: int, windows_per_traj: int,
         raise ValueError(f"seq_len must be >= H_p+1 = {spec.window_len}")
     if n_init == 0:
         return _empty_dataset(spec, "sequential", seed)
-
-    L = spec.window_len
-    W = windows_per_traj
-    traj_len = W - 1 + seq_len  # states per trajectory
-    n = n_init * W
-    states = np.empty((n, L, spec.state_dim), dtype=np.float64)
-    modes = np.empty((n, L), dtype=np.int64)
-    obs = np.empty((n, L, spec.obs_dim), dtype=np.float64)
-    traj_ids = np.repeat(np.arange(n_init, dtype=np.int32), W)
-
-    attempts = np.zeros(n_init, dtype=np.int64)
-    pending = np.arange(n_init)
-    trajs = np.empty((traj_len, n_init, spec.state_dim))
-    traj_modes = np.empty((traj_len, n_init), dtype=np.int64)
-    while len(pending):
-        if (attempts[pending] >= MAX_RETRIES).any():
-            raise GenerationFailed(
-                f"{spec.name}: trajectory diverged {MAX_RETRIES} times in a row")
-        V0, Q0 = _draw_initials(spec, seed, pending, attempts[pending])
-        Vs, Qs, ok = _simulate_tolerant(spec, V0, Q0, traj_len - 1)
-        rows = np.flatnonzero(ok)
-        trajs[:, pending[ok]] = Vs[:, rows]
-        traj_modes[:, pending[ok]] = Qs[:, rows]
-        attempts[pending[~ok]] += 1
-        pending = pending[~ok]
-
-    for i in range(n_init):
-        noise = _draw_noise(spec, seed, i, attempts[i], traj_len)
-        traj_obs = spec.observe_fn(trajs[:, i], traj_modes[:, i]) + noise
-        for w in range(W):
-            j = i * W + w
-            end = w + seq_len - 1  # index of the window's last state
-            states[j] = trajs[end - L + 1:end + 1, i]
-            modes[j] = traj_modes[end - L + 1:end + 1, i]
-            obs[j] = traj_obs[end - L + 1:end + 1]
-
-    labels = reach_label_batch(spec, states[:, -1], modes[:, -1])
-
-    return Dataset(
-        model_name=spec.name, mode="sequential",
-        obs=obs.astype(np.float32), states=states.astype(np.float32),
-        labels=labels, modes=modes.astype(np.int32),
-        traj_ids=traj_ids, seed=seed, scaled=False, scaler=None,
-    )
+    traj_len = windows_per_traj - 1 + seq_len
+    return _generate(spec, "sequential", seed, n_init, traj_len, traj_len,
+                     windows_per_traj)
 
 
 def scale(dataset: Dataset, scaler: Scaler | None = None) -> Dataset:

@@ -133,16 +133,17 @@ def train_rule(features, errors, reg: float = 1e-3, lr: float = 0.1,
     n = len(y)
     batch = 64
     step = 0
+    wt = sample_w * t
     for _ in range(epochs):
         order = rng.permutation(n)
+        Xo, wto, to = Xs[order], wt[order], t[order]  # minibatches are slices
         for start in range(0, n, batch):
-            idx = order[start:start + batch]
+            Xb, tb = Xo[start:start + batch], to[start:start + batch]
             step += 1
             eta = lr / (1.0 + lr * reg * step)
-            margin = t[idx] * (Xs[idx] @ w + b)
-            active = margin < 1.0
-            coef = (sample_w[idx] * t[idx] * active) / len(idx)
-            w = (1.0 - eta * reg) * w + eta * (coef @ Xs[idx])
+            active = tb * (Xb @ w + b) < 1.0
+            coef = (wto[start:start + batch] * active) / len(tb)
+            w = (1.0 - eta * reg) * w + eta * (coef @ Xb)
             b = b + eta * coef.sum()
     return RejectionRule(w=w, b=b, feat_mean=mean, feat_std=std,
                          degenerate=False,

@@ -99,6 +99,22 @@ class TestPValue:
         for i in range(120):
             assert batch[i] == p_value_oracle(scores, alphas[i], thetas[i])
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_classification_matches_per_label_oracle(self, k):
+        rng = np.random.default_rng(3)
+        lik = rng.dirichlet(np.ones(k), size=200)
+        # 1 - lik of the first 40 points are calibration scores: exact ties
+        calib = CalibrationSet(np.concatenate(
+            [rng.uniform(size=300), (1.0 - lik[:40]).ravel()]))
+        thetas = rng.uniform(size=200)
+        thetas[::7], thetas[3::7] = 0.0, 1.0
+        oracle = np.stack([p_values_batch(calib, 1.0 - lik[:, j], thetas)
+                           for j in range(k)], axis=1)
+        pv = classification_p_values(calib, lik, thetas)
+        assert pv.dtype == oracle.dtype and np.array_equal(pv, oracle)
+        n_eq = [(calib.scores == a).sum() for a in (1.0 - lik[:40]).ravel()]
+        assert min(n_eq) >= 1
+
 
 class TestRegions:
     def test_classification_cases(self):

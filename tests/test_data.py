@@ -1,17 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_linear_file
 from reachmon import get_spec
 from reachmon.data import (
+    SEQUENCE_LEN,
     Dataset,
     Scaler,
+    _draw_initials,
+    _draw_noise,
+    _simulate_tolerant,
     gen_independent,
     gen_sequential,
     load,
     save,
     scale,
+    seed_words,
     split,
     unscale,
 )
@@ -92,6 +100,163 @@ class TestGenSequential:
         ds = gen_sequential(twt_spec, 4, 7, seed=1)
         assert np.array_equal(np.unique(ds.traj_ids), np.arange(4))
         assert (np.bincount(ds.traj_ids) == 7).all()
+
+
+# Reference generation: one ``default_rng([seed, i, attempt, stream])`` per
+# draw, ``uniform(lo, hi)`` for initial states and a per-window copy loop for
+# sequential windows.  ``gen_independent`` and ``gen_sequential`` must
+# reproduce it byte for byte.
+
+def _ref_initials(spec, seed, indices, attempts):
+    V = np.empty((len(indices), spec.state_dim))
+    for row, (i, a) in enumerate(zip(indices, attempts)):
+        rng = np.random.default_rng([seed, int(i), int(a), 0])
+        V[row] = rng.uniform(spec.init_lo, spec.init_hi)
+    return V, spec.init_mode(V)
+
+
+def _ref_noise(spec, seed, index, attempt, n_obs):
+    rng = np.random.default_rng([seed, int(index), int(attempt), 1])
+    return rng.normal(0.0, 1.0, size=(n_obs, spec.obs_dim)) * spec.noise_std
+
+
+def _ref_trajectories(spec, seed, n, n_states):
+    """(states (n_states, n, d), modes (n_states, n), attempts (n,))."""
+    trajs = np.empty((n_states, n, spec.state_dim))
+    traj_modes = np.empty((n_states, n), dtype=np.int64)
+    attempts = np.zeros(n, dtype=np.int64)
+    pending = np.arange(n)
+    while len(pending):
+        V0, Q0 = _ref_initials(spec, seed, pending, attempts[pending])
+        Vs, Qs, ok = _simulate_tolerant(spec, V0, Q0, n_states - 1)
+        rows = np.flatnonzero(ok)
+        trajs[:, pending[ok]] = Vs[:, rows]
+        traj_modes[:, pending[ok]] = Qs[:, rows]
+        attempts[pending[~ok]] += 1
+        pending = pending[~ok]
+    return trajs, traj_modes, attempts
+
+
+def _ref_independent(spec, n, seed):
+    L = spec.window_len
+    trajs, traj_modes, attempts = _ref_trajectories(spec, seed, n, SEQUENCE_LEN)
+    states = np.ascontiguousarray(trajs[-L:].transpose(1, 0, 2))
+    modes = np.ascontiguousarray(traj_modes[-L:].T)
+    labels = np.empty(n, dtype=np.uint8)
+    labels[:] = reach_label_batch(spec, states[:, -1], modes[:, -1])
+    obs = np.empty((n, L, spec.obs_dim))
+    obs_clean = spec.observe_fn(
+        states.reshape(-1, spec.state_dim), modes.reshape(-1)
+    ).reshape(n, L, spec.obs_dim)
+    for i in range(n):
+        obs[i] = obs_clean[i] + _ref_noise(spec, seed, i, attempts[i], L)
+    return {"obs": obs.astype(np.float32), "states": states.astype(np.float32),
+            "labels": labels, "modes": modes.astype(np.int32),
+            "traj_ids": np.arange(n, dtype=np.int32)}, attempts
+
+
+def _ref_sequential(spec, n_init, W, seed):
+    L = spec.window_len
+    traj_len = W - 1 + SEQUENCE_LEN
+    n = n_init * W
+    trajs, traj_modes, attempts = _ref_trajectories(spec, seed, n_init, traj_len)
+    states = np.empty((n, L, spec.state_dim))
+    modes = np.empty((n, L), dtype=np.int64)
+    obs = np.empty((n, L, spec.obs_dim))
+    for i in range(n_init):
+        noise = _ref_noise(spec, seed, i, attempts[i], traj_len)
+        traj_obs = spec.observe_fn(trajs[:, i], traj_modes[:, i]) + noise
+        for w in range(W):
+            j = i * W + w
+            end = w + SEQUENCE_LEN - 1
+            states[j] = trajs[end - L + 1:end + 1, i]
+            modes[j] = traj_modes[end - L + 1:end + 1, i]
+            obs[j] = traj_obs[end - L + 1:end + 1]
+    labels = reach_label_batch(spec, states[:, -1], modes[:, -1])
+    return {"obs": obs.astype(np.float32), "states": states.astype(np.float32),
+            "labels": labels, "modes": modes.astype(np.int32),
+            "traj_ids": np.repeat(np.arange(n_init, dtype=np.int32), W)}, attempts
+
+
+def _pair(spec, mode, seed):
+    if mode == "independent":
+        return gen_independent(spec, 40, seed=seed), _ref_independent(spec, 40, seed)
+    return gen_sequential(spec, 6, 5, seed=seed), _ref_sequential(spec, 6, 5, seed)
+
+
+def _assert_same(ds, ref):
+    for field, expected in ref.items():
+        got = getattr(ds, field)
+        assert got.dtype == expected.dtype, field
+        assert np.array_equal(got, expected), field
+
+
+@pytest.fixture(scope="module")
+def linear_model(tmp_path_factory):
+    path = write_linear_file(
+        tmp_path_factory.mktemp("lin") / "osc.txt", dim=2,
+        a=[[0.0, 1.0], [-1.0, -0.1]], obs=(0,), unsafe=(0, "ge", 0.8),
+        hp=3, noise=(0.05,))
+    return f"linear:{path}"
+
+
+class TestGenBitExact:
+    @pytest.mark.parametrize("mode", ["independent", "sequential"])
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 32, 2 ** 33 + 7])
+    @pytest.mark.parametrize("model", ["ip", "sn", "cvdp", "lalo", "twt", "linear"])
+    def test_matches_reference(self, model, seed, mode, linear_model):
+        spec = get_spec(linear_model if model == "linear" else model)
+        ds, (ref, _) = _pair(spec, mode, seed)
+        _assert_same(ds, ref)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 33 + 7])
+    @pytest.mark.parametrize("model", ["ip", "lalo", "twt"])
+    def test_float64_draws_match_reference(self, model, seed):
+        # the datasets are float32; compare the float64 draws as well
+        spec = get_spec(model)
+        idx = np.arange(50)
+        V, Q = _draw_initials(spec, seed, idx, idx % 3)
+        V_ref, Q_ref = _ref_initials(spec, seed, idx, idx % 3)
+        assert np.array_equal(V, V_ref) and np.array_equal(Q, Q_ref)
+        assert np.array_equal(_draw_noise(spec, seed, 7, 2, 9),
+                              _ref_noise(spec, seed, 7, 2, 9))
+
+    @pytest.mark.parametrize("mode", ["independent", "sequential"])
+    def test_retried_samples_match_reference(self, ip_spec, mode):
+        base = ip_spec.drift
+
+        def drift(V, A, t, Q):  # diverges once theta passes 0.5
+            out = base(V, A, t, Q)
+            out[V[:, 0] > 0.5] = np.inf
+            return out
+
+        spec = replace(ip_spec, drift=drift)
+        ds, (ref, attempts) = _pair(spec, mode, 3)
+        assert attempts.max() >= 1
+        _assert_same(ds, ref)
+
+    @pytest.mark.parametrize("gen", [
+        lambda spec, seed: gen_independent(spec, 4, seed=seed),
+        lambda spec, seed: gen_sequential(spec, 2, 3, seed=seed)])
+    def test_negative_seed_rejected(self, ip_spec, gen):
+        with pytest.raises(ValueError):
+            gen(ip_spec, -1)
+
+    @pytest.mark.parametrize("gen", [
+        lambda spec: gen_independent(spec, 4, seed=0),
+        lambda spec: gen_sequential(spec, 2, 3, seed=0),
+        lambda spec: _ref_independent(spec, 4, 0)])
+    def test_non_finite_init_range_rejected(self, ip_spec, gen):
+        spec = replace(ip_spec, init_lo=np.array([-1e308, -1.5]),
+                       init_hi=np.array([1e308, 1.5]))
+        with pytest.raises(OverflowError), np.errstate(over="ignore"):
+            gen(spec)
+
+    @pytest.mark.parametrize("seed,words", [
+        (0, [0]), (5, [5]), (2 ** 32 - 1, [2 ** 32 - 1]), (2 ** 32, [0, 1]),
+        (2 ** 33 + 7, [7, 2]), (2 ** 64, [0, 0, 1]), (np.int64(9), [9])])
+    def test_seed_words(self, seed, words):
+        assert seed_words(seed) == words
 
 
 class TestScaling:

@@ -67,7 +67,45 @@ class TestCvLabels:
             cv_uncertainty_labels(lik, labels, 1, np.random.default_rng(0))
 
 
+def _ref_rule(X, y, reg=1e-3, lr=0.1, epochs=200, seed=0):
+    """(w, b, meta) of the rule fit with a fancy-index gather per minibatch,
+    which ``train_rule`` must reproduce exactly."""
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    std[std == 0] = 1.0
+    Xs = (X - mean) / std
+    counts = np.bincount(y, minlength=2)
+    t = np.where(y == 1, 1.0, -1.0)
+    sample_w = (len(y) / (2.0 * counts))[y]
+    rng = np.random.default_rng([seed, 0x5643])
+    w, b, n, step = np.zeros(X.shape[1]), 0.0, len(y), 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, 64):
+            idx = order[start:start + 64]
+            step += 1
+            eta = lr / (1.0 + lr * reg * step)
+            margin = t[idx] * (Xs[idx] @ w + b)
+            active = margin < 1.0
+            coef = (sample_w[idx] * t[idx] * active) / len(idx)
+            w = (1.0 - eta * reg) * w + eta * (coef @ Xs[idx])
+            b = b + eta * coef.sum()
+    return w, b, {"n": int(n), "n_errors": int(counts[1]), "reg": reg,
+                  "epochs": epochs, "seed": seed}
+
+
 class TestTrainRule:
+    @pytest.mark.parametrize("n", [1000, 4000])
+    @pytest.mark.parametrize("err_rate", [0.01, 0.05, 0.2])
+    def test_matches_minibatch_gather_reference(self, n, err_rate):
+        rng = np.random.default_rng(int(n * err_rate))
+        y = (rng.uniform(size=n) < err_rate).astype(np.uint8)
+        # overlapping clouds, so the hinge's active set changes from step to step
+        X = rng.normal(size=(n, 2)) * 0.05 + np.array([0.9, 0.7]) \
+            - 0.08 * y[:, None]
+        rule = train_rule(X, y, seed=11)
+        w, b, meta = _ref_rule(X, y, seed=11)
+        assert np.array_equal(rule.w, w) and rule.b == b and rule.meta == meta
+
     def test_separable_clouds_zero_training_error(self):
         X, y = _clouds()
         rule = train_rule(X, y, seed=0)

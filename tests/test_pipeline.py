@@ -9,6 +9,7 @@ from conftest import write_linear_file
 from reachmon import cli, pipeline
 from reachmon.config import ExperimentConfig, load_config
 from reachmon.errors import ConfigError
+from reachmon.nets import load_model
 
 
 def _tree_digests(root):
@@ -85,6 +86,32 @@ class TestBundleModel:
         monkeypatch.chdir(other)
         assert cli.main(["anomaly", "--bundle", str(made / "bundle"),
                          *common]) == cli.EXIT_OK
+
+
+class TestActiveCheckpoint:
+    @pytest.mark.parametrize("flags", [[], ["--approach", "e2e"], ["--cold"]])
+    def test_checkpoint_meta_records_last_retrain(self, tmp_path, flags):
+        conf = tmp_path / "small.conf"
+        conf.write_text("epochs_scale = 0.05\nk_folds = 2\npool = 100\n"
+                        "iters = 2\n")
+        data, bundle = str(tmp_path / "data"), tmp_path / "bundle"
+        common = ["--config", str(conf)]
+        train_flags = [f for f in flags if f != "--cold"]
+        active_flags = [f for f in flags if f == "--cold"]
+        assert cli.main(["gen", "--model", "lalo", "--n", "400", "--seed", "3",
+                         "--out", data, *common]) == cli.EXIT_OK
+        assert cli.main(["train", "--data", data, "--out", str(bundle),
+                         "--n-train", "200", "--n-calib", "120",
+                         "--n-test", "80", *train_flags, *common]) == cli.EXIT_OK
+        assert cli.main(["active", "--bundle", str(bundle), *active_flags,
+                         *common]) == cli.EXIT_OK
+        with open(bundle / "reports" / "active.json") as fh:
+            retrain = json.load(fh)["history"][-1]["retrain"]
+        first = load_model(str(bundle / "checkpoint")).meta
+        meta = load_model(str(bundle / "active" / "checkpoint")).meta
+        assert {k: meta[k] for k in retrain} == retrain
+        assert meta["loss_history"] != first["loss_history"]
+        assert meta["approach"] == first["approach"]
 
 
 class TestTrainPreconditions:
