@@ -10,21 +10,14 @@ from .conformal import (
     confidence_credibility,
     coverage,
     efficiency_classification,
-    efficiency_regression,
-    ncf_regression,
-    regress_region,
 )
-from .data import Dataset, Scaler, gen_independent, gen_sequential, load, save, scale, split, unscale
-from .reach import label_window, reach_label
-from .systems import HybridState, HybridSystemSpec, Trajectory, observe, sample_initial, simulate, step
+from .data import Dataset, Scaler, gen_independent, gen_sequential, load, save, scale, split
+from .systems import HybridSystemSpec
 
 __all__ = [
     "__version__", "get_spec", "load_linear_system", "CalibrationSet",
     "classify_region", "confidence_credibility", "coverage",
-    "efficiency_classification", "efficiency_regression", "ncf_regression",
-    "regress_region",
+    "efficiency_classification",
     "Dataset", "Scaler", "gen_independent", "gen_sequential", "load", "save",
-    "scale", "split", "unscale", "label_window", "reach_label",
-    "HybridState", "HybridSystemSpec", "Trajectory", "observe",
-    "sample_initial", "simulate", "step",
+    "scale", "split", "HybridSystemSpec",
 ]

@@ -9,8 +9,7 @@ Where the literature leaves constants unspecified (integration step, water
 tank geometry, initial boxes for the higher-dimensional models) the defaults
 below were tuned so that datasets sampled from the init box contain both
 safety classes and the fixed-step integrator passes a dt-halving convergence
-check; all of them can be overridden via ``dataclasses.replace`` or the
-``overrides`` argument of :func:`get_spec`.
+check; any of them can be overridden with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ def _no_control(V, Q):
 
 # --- Inverted pendulum on a cart ------------------------------------------
 
-def ip_spec(dt: float = 0.1) -> HybridSystemSpec:
+def ip_spec() -> HybridSystemSpec:
     """Two-dimensional pendulum (angle, angular velocity) with an
     energy-based swing-up/stabilize controller and a scalar energy
     observation ``y = omega/2 + cos(theta) - 1``."""
@@ -73,7 +72,7 @@ def ip_spec(dt: float = 0.1) -> HybridSystemSpec:
         return np.abs(V[:, 0]) >= np.pi / 6.0
 
     return HybridSystemSpec(
-        name="ip", state_dim=2, obs_dim=1, modes=(0,), dt=dt,
+        name="ip", state_dim=2, obs_dim=1, modes=(0,), dt=0.1,
         past_horizon=1, future_horizon=5,
         noise_std=[0.005],
         init_lo=[-np.pi / 4.0, -1.5], init_hi=[np.pi / 4.0, 1.5],
@@ -87,7 +86,7 @@ def ip_spec(dt: float = 0.1) -> HybridSystemSpec:
 SN_PARAMS = {"a": 0.02, "b": 0.2, "c": -65.0, "d": 8.0, "current": 40.0}
 
 
-def sn_spec(dt: float = 0.01) -> HybridSystemSpec:
+def sn_spec() -> HybridSystemSpec:
     """Action-potential model, state (potential, recovery).  The potential
     follows the quadratic ODE and is reset to ``c`` when it crosses 30, with
     the recovery bumped by ``d``; only the recovery channel is observed."""
@@ -114,7 +113,7 @@ def sn_spec(dt: float = 0.01) -> HybridSystemSpec:
         return V[:, 0] <= -68.5
 
     return HybridSystemSpec(
-        name="sn", state_dim=2, obs_dim=1, modes=(0,), dt=dt,
+        name="sn", state_dim=2, obs_dim=1, modes=(0,), dt=0.01,
         past_horizon=4, future_horizon=16,
         noise_std=[0.1],
         init_lo=[-68.5, 0.0], init_hi=[30.0, 25.0],
@@ -126,7 +125,7 @@ def sn_spec(dt: float = 0.01) -> HybridSystemSpec:
 
 # --- Coupled Van der Pol oscillators ----------------------------------------
 
-def cvdp_spec(dt: float = 0.05) -> HybridSystemSpec:
+def cvdp_spec() -> HybridSystemSpec:
     """Two coupled oscillators; positions of both are observed, the unsafe
     set requires both velocities to exceed 2.75 simultaneously."""
 
@@ -146,7 +145,7 @@ def cvdp_spec(dt: float = 0.05) -> HybridSystemSpec:
         return (V[:, 1] >= 2.75) & (V[:, 3] >= 2.75)
 
     return HybridSystemSpec(
-        name="cvdp", state_dim=4, obs_dim=2, modes=(0,), dt=dt,
+        name="cvdp", state_dim=4, obs_dim=2, modes=(0,), dt=0.05,
         past_horizon=8, future_horizon=7,
         noise_std=[0.01, 0.01],
         init_lo=[1.25] * 4, init_hi=[1.55] * 4,
@@ -157,7 +156,7 @@ def cvdp_spec(dt: float = 0.05) -> HybridSystemSpec:
 
 # --- Laub-Loomis -------------------------------------------------------------
 
-def lalo_spec(dt: float = 0.05) -> HybridSystemSpec:
+def lalo_spec() -> HybridSystemSpec:
     """Seven-dimensional enzymatic network; every variable except the
     safety-critical fourth one is observed."""
 
@@ -180,7 +179,7 @@ def lalo_spec(dt: float = 0.05) -> HybridSystemSpec:
         return V[:, 3] >= 4.5
 
     return HybridSystemSpec(
-        name="lalo", state_dim=7, obs_dim=6, modes=(0,), dt=dt,
+        name="lalo", state_dim=7, obs_dim=6, modes=(0,), dt=0.05,
         past_horizon=5, future_horizon=20,
         noise_std=[0.01] * 6,
         init_lo=[0.5, 0.5, 0.1, 2.0, 0.5, 0.0, 0.1],
@@ -199,7 +198,7 @@ TWT_PARAMS = {
 }
 
 
-def twt_spec(dt: float = 0.1) -> HybridSystemSpec:
+def twt_spec() -> HybridSystemSpec:
     """Three cascaded tanks, each with an on/off pump.  The mode is the pump
     configuration encoded as a 3-bit mask; pumps switch on when a level falls
     to ``pump_on_level`` and off when it reaches ``pump_off_level``, so the
@@ -238,7 +237,7 @@ def twt_spec(dt: float = 0.1) -> HybridSystemSpec:
                 | (bits[:, 2].astype(np.int64) << 2))
 
     return HybridSystemSpec(
-        name="twt", state_dim=3, obs_dim=3, modes=tuple(range(8)), dt=dt,
+        name="twt", state_dim=3, obs_dim=3, modes=tuple(range(8)), dt=0.1,
         past_horizon=1, future_horizon=1,
         noise_std=[0.01] * 3,
         init_lo=[4.5] * 3, init_hi=[5.5] * 3,
@@ -365,19 +364,15 @@ REGISTRY = {
 }
 
 
-def get_spec(name: str, dt: float | None = None, **overrides) -> HybridSystemSpec:
+def get_spec(name: str) -> HybridSystemSpec:
     """Look up a benchmark by name; ``linear:<path>`` loads from file."""
     if name.startswith("linear:"):
         # named by the absolute path, so a dataset or bundle can reload it
         # from any working directory
         path = os.path.abspath(name.split(":", 1)[1])
-        spec = dataclasses.replace(load_linear_system(path),
+        return dataclasses.replace(load_linear_system(path),
                                    name=f"linear:{path}")
-    elif name in REGISTRY:
-        spec = REGISTRY[name]() if dt is None else REGISTRY[name](dt=dt)
-    else:
-        raise ConfigError(
-            f"unknown model {name!r}; available: {sorted(REGISTRY)} or linear:<path>")
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
-    return spec
+    if name in REGISTRY:
+        return REGISTRY[name]()
+    raise ConfigError(
+        f"unknown model {name!r}; available: {sorted(REGISTRY)} or linear:<path>")

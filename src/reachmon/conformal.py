@@ -1,4 +1,4 @@
-"""Inductive conformal prediction for classification and regression.
+"""Inductive conformal prediction for the safety classifier.
 
 Nonconformity scores from a held-out calibration set are ranked against a
 test score to produce smoothed p-values
@@ -8,10 +8,7 @@ test score to produce smoothed p-values
 with a single tie-breaking ``theta`` drawn per test point and shared across
 the candidate labels, which makes credibility exactly the p-value of the
 predicted class.  Prediction regions keep the labels whose p-value exceeds
-the significance level; regression regions are symmetric intervals around
-the prediction with half-width equal to the floor(eps * (n+1))-th largest
-calibration score (an explicit unbounded flag when that index falls below
-one).
+the significance level.
 """
 
 from __future__ import annotations
@@ -53,24 +50,6 @@ class ClassRegion:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class IntervalRegion:
-    """Regression prediction region: center +- radius, possibly unbounded."""
-
-    center: np.ndarray
-    radius: float
-    unbounded: bool = False
-
-    @property
-    def width(self):
-        return np.inf if self.unbounded else 2.0 * self.radius
-
-    def __contains__(self, value):
-        if self.unbounded:
-            return True
-        return float(np.linalg.norm(np.asarray(value) - self.center)) <= self.radius
-
-
 def ncf_classification_batch(likelihoods, labels) -> np.ndarray:
     """1 minus the likelihood each row of ``likelihoods`` (N, K) assigns to
     its label."""
@@ -82,15 +61,6 @@ def ncf_classification_batch(likelihoods, labels) -> np.ndarray:
     if ((labels < 0) | (labels >= lik.shape[1])).any():
         raise InvalidLikelihoods(f"labels out of range 0..{lik.shape[1] - 1}")
     return 1.0 - lik[np.arange(lik.shape[0]), labels]
-
-
-def ncf_regression(predicted_seq, true_seq) -> float:
-    """Euclidean norm of the flattened difference."""
-    a = np.asarray(predicted_seq, dtype=np.float64)
-    b = np.asarray(true_seq, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"sequence shapes differ: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm((a - b).ravel()))
 
 
 def p_values_batch(calib: CalibrationSet, alpha_stars, thetas) -> np.ndarray:
@@ -108,26 +78,6 @@ def classify_region(p0: float, p1: float, eps: float) -> ClassRegion:
     """Labels whose p-value exceeds the significance level."""
     return ClassRegion(frozenset(
         j for j, p in enumerate((p0, p1)) if p > eps))
-
-
-def regression_radius(calib: CalibrationSet, eps: float) -> tuple[float, bool]:
-    """Half-width for significance ``eps``: the floor(eps*(n+1))-th largest
-    calibration score; (inf, True) when the rank falls below one."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0, 1)")
-    if calib.size == 0:
-        raise InsufficientData("empty calibration set")
-    k = int(np.floor(eps * (calib.size + 1)))
-    if k < 1:
-        return np.inf, True
-    k = min(k, calib.size)
-    return float(calib.scores[calib.size - k]), False
-
-
-def regress_region(prediction, calib: CalibrationSet, eps: float) -> IntervalRegion:
-    radius, unbounded = regression_radius(calib, eps)
-    return IntervalRegion(center=np.asarray(prediction, dtype=np.float64),
-                          radius=radius, unbounded=unbounded)
 
 
 def confidence_credibility(p_values) -> np.ndarray:
@@ -161,9 +111,3 @@ def efficiency_classification(regions) -> float:
         raise InsufficientData("no regions to score")
     return float(np.mean([len(r) == 1 for r in regions]))
 
-
-def efficiency_regression(regions) -> float:
-    """Mean interval width (smaller is tighter)."""
-    if len(regions) == 0:
-        raise InsufficientData("no regions to score")
-    return float(np.mean([r.width for r in regions]))

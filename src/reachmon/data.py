@@ -95,10 +95,6 @@ class Scaler:
         return self._apply(np.asarray(obs, dtype=np.float64),
                            self.obs_min, self.obs_max)
 
-    def unscale_obs(self, obs):
-        return self._invert(np.asarray(obs, dtype=np.float64),
-                            self.obs_min, self.obs_max)
-
     def state_ranges(self):
         return self.state_max - self.state_min
 
@@ -180,10 +176,9 @@ def _empty_dataset(spec: HybridSystemSpec, mode: str, seed: int) -> Dataset:
 def _simulate_tolerant(spec, V0, Q0, n_steps):
     """Batch simulation that flags diverged rows instead of raising.
 
-    Each transition is :func:`systems.flow` from time ``k * dt``, as in
-    :func:`systems.simulate_batch`; a row whose state turns non-finite is
-    parked at zero and masked out, then the jump rule runs on every row.
-    Returns ``(states, modes, ok)``.
+    Each transition is :func:`systems.flow` from time ``k * dt``; a row
+    whose state turns non-finite is parked at zero and masked out, then the
+    jump rule runs on every row.  Returns ``(states, modes, ok)``.
     """
     B = V0.shape[0]
     Vs = np.empty((n_steps + 1, B, spec.state_dim), dtype=np.float64)
@@ -340,17 +335,6 @@ def scale(dataset: Dataset, scaler: Scaler | None = None) -> Dataset:
                    obs=sc.scale_obs(dataset.obs),
                    states=sc.scale_states(dataset.states),
                    scaled=True, scaler=sc)
-
-
-def unscale(dataset: Dataset) -> Dataset:
-    """Inverse of :func:`scale`; returns physical units."""
-    if not dataset.scaled:
-        raise ValueError("dataset is not scaled")
-    sc = dataset.scaler
-    return replace(dataset,
-                   obs=sc.unscale_obs(dataset.obs),
-                   states=sc.unscale_states(dataset.states),
-                   scaled=False, scaler=sc)
 
 
 def split(dataset: Dataset, n_train: int, n_calib: int, n_test: int,

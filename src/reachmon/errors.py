@@ -16,10 +16,6 @@ class ReachmonError(Exception):
 class IntegrationDiverged(ReachmonError):
     """Simulation produced a non-finite state."""
 
-    def __init__(self, message, step_index=None):
-        super().__init__(message)
-        self.step_index = step_index
-
 
 class ShapeError(ReachmonError):
     """An array argument has the wrong shape or length."""

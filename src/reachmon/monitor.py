@@ -3,7 +3,7 @@ training schedules, and the end-to-end / two-step training paths."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class TrainSchedule:
     classifier: TrainOpts
     estimator: TrainOpts
     finetune: TrainOpts
-    meta: dict = field(default_factory=dict)
 
     @classmethod
     def for_profile(cls, profile: str, seed: int = 0,

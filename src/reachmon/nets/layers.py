@@ -116,10 +116,6 @@ class Conv1D(Layer):
             dxp[:, j:j + L, :] += dcols[..., j]
         return dxp[:, p:p + L, :].transpose(0, 2, 1)
 
-    def shape_out(self, shape_in):
-        _, L = shape_in
-        return (self.w.shape[0], L)
-
 
 class Dense(Layer):
     def __init__(self, in_dim, out_dim, activation, rng, dtype, bias_init=0.0):

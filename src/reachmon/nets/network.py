@@ -125,12 +125,8 @@ class Network:
                 raise ShapeError("weight shape mismatch")
             p[...] = w
 
-    def n_params(self):
-        return sum(p.size for p in self.params)
 
-
-def build_classifier_spec(in_channels: int, length: int, profile: str = "desk",
-                          seed_spec: dict | None = None) -> dict:
+def build_classifier_spec(in_channels: int, length: int, profile: str = "desk") -> dict:
     """Safety-label classifier over a window of ``in_channels`` x ``length``."""
     if profile == "paper":
         convs, filters, kernel, dense_width = 4, 128, 3, 100

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-from .systems import HybridState, HybridSystemSpec, step_batch
+from .systems import HybridSystemSpec, step_batch
 
 
 def reach_label_batch(spec: HybridSystemSpec, V: np.ndarray, Q: np.ndarray,
@@ -25,17 +24,3 @@ def reach_label_batch(spec: HybridSystemSpec, V: np.ndarray, Q: np.ndarray,
         hit |= spec.unsafe(V, Q)
     return hit.astype(np.uint8)
 
-
-def reach_label(spec: HybridSystemSpec, s: HybridState,
-                horizon: int | None = None) -> int:
-    """1 iff the unsafe set is reached within the future horizon, else 0."""
-    return int(reach_label_batch(spec, s.v[None, :],
-                                 np.array([s.q], dtype=np.int64), horizon)[0])
-
-
-def label_window(spec: HybridSystemSpec, states) -> int:
-    """Label of a past-window of states: the reach label of its last state."""
-    if len(states) != spec.window_len:
-        raise ShapeError(
-            f"window has {len(states)} states, expected H_p+1 = {spec.window_len}")
-    return reach_label(spec, states[-1])

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from reachmon import get_spec
-from reachmon.data import gen_independent, scale, split
+from reachmon.data import _draw_initials, gen_independent, scale, split
 from reachmon.data import Scaler
+from reachmon.systems import flow
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +49,20 @@ def write_linear_file(path, dim=1, a=None, obs=(0,), unsafe=(0, "le", 0.0),
     lines += [" ".join(str(x) for x in row) for row in a]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def draw_states(spec, n, seed=0):
+    """``n`` initial states and modes drawn as dataset generation draws them."""
+    return _draw_initials(spec, seed, np.arange(n), np.zeros(n, dtype=np.int64))
+
+
+def rollout(spec, V, Q, n_steps, substeps=1):
+    """``n_steps`` transitions of a batch: the flow from time ``k * dt``,
+    refined by ``substeps``, then the jump rule.  Returns
+    ``(n_steps + 1, B, state_dim)`` states and ``(n_steps + 1, B)`` modes."""
+    Vs, Qs = [V], [Q]
+    for k in range(n_steps):
+        V, Q = spec.jump(flow(spec, V, Q, k * spec.dt, substeps), Q)
+        Vs.append(V)
+        Qs.append(Q)
+    return np.stack(Vs), np.stack(Qs)

@@ -10,14 +10,10 @@ from reachmon.conformal import (
     confidence_credibility,
     coverage,
     efficiency_classification,
-    efficiency_regression,
     ncf_classification_batch,
-    ncf_regression,
     p_values_batch,
-    regress_region,
-    regression_radius,
 )
-from reachmon.errors import InsufficientData, InvalidLikelihoods, ShapeError
+from reachmon.errors import InsufficientData, InvalidLikelihoods
 
 
 def p_value_oracle(scores, alpha_star, theta):
@@ -46,23 +42,6 @@ class TestNcf:
             ncf_classification_batch([0.3, 0.7], [0])
         with pytest.raises(InvalidLikelihoods):
             ncf_classification_batch([[0.3, 0.7]], [2])
-
-    def test_regression_zero(self):
-        x = np.arange(6.0).reshape(2, 3)
-        assert ncf_regression(x, x) == 0.0
-
-    def test_regression_345(self):
-        assert ncf_regression(np.array([3.0, 4.0]), np.zeros(2)) == pytest.approx(5.0)
-
-    def test_regression_matches_recomputation(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-        want = float(np.sqrt(((a - b) ** 2).sum()))
-        assert abs(ncf_regression(a, b) - want) < 1e-12
-
-    def test_regression_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            ncf_regression(np.zeros(3), np.zeros(4))
 
 
 class TestPValue:
@@ -122,39 +101,6 @@ class TestRegions:
         assert classify_region(0.8, 0.1, 0.2).labels == {0}
         assert classify_region(0.8, 0.1, 0.9).labels == set()
 
-    def test_regression_interval(self):
-        calib = CalibrationSet(np.linspace(0.05, 1.0, 20))
-        radius, unbounded = regression_radius(calib, 0.5)
-        region = regress_region(np.array([2.0]), calib, 0.5)
-        assert not unbounded
-        assert region.width == pytest.approx(2 * radius)
-        assert np.array([2.0 + radius - 1e-12]) in region
-        assert np.array([2.0 + radius + 1e-3]) not in region
-
-    def test_rank_arithmetic(self):
-        calib = CalibrationSet(np.arange(1.0, 20.0))  # n = 19
-        radius, unbounded = regression_radius(calib, 0.05)
-        assert not unbounded and radius == 19.0
-
-    def test_unbounded_flag(self):
-        calib = CalibrationSet(np.arange(1.0, 11.0))  # n = 10
-        radius, unbounded = regression_radius(calib, 0.05)
-        assert unbounded and radius == np.inf
-        region = regress_region(np.zeros(1), calib, 0.05)
-        assert region.unbounded and np.array([1e9]) in region
-
-    def test_empty_calibration(self):
-        with pytest.raises(InsufficientData):
-            regression_radius(CalibrationSet([]), 0.1)
-
-    def test_regression_coverage_monte_carlo(self):
-        rng = np.random.default_rng(2)
-        calib = CalibrationSet(np.abs(rng.normal(size=2000)))
-        test = np.abs(rng.normal(size=100_000))
-        radius, _ = regression_radius(calib, 0.1)
-        cov = (test <= radius).mean()
-        assert 0.89 <= cov <= 0.91
-
     def test_nesting_classification(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -164,15 +110,6 @@ class TestRegions:
                 cur = classify_region(p0, p1, eps).labels
                 assert cur <= prev
                 prev = cur
-
-    def test_nesting_regression(self):
-        rng = np.random.default_rng(4)
-        calib = CalibrationSet(rng.exponential(size=300))
-        prev = np.inf
-        for eps in np.linspace(0.01, 0.99, 50):
-            radius, _ = regression_radius(calib, eps)
-            assert radius <= prev
-            prev = radius
 
 
 class TestUncertainty:
@@ -248,12 +185,6 @@ class TestValidityAndMetrics:
         singles = [classify_region(0.9, 0.1, 0.5) for _ in range(10)]
         assert coverage(singles, [0] * 10) == 1.0
         assert efficiency_classification(singles) == 1.0
-
-    def test_efficiency_regression_mean_width(self):
-        calib = CalibrationSet(np.linspace(0.1, 1.0, 100))
-        regions = [regress_region(np.zeros(1), calib, e) for e in (0.2, 0.4)]
-        want = np.mean([r.width for r in regions])
-        assert efficiency_regression(regions) == pytest.approx(want)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(InsufficientData):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -309,7 +311,7 @@ class TestTrainEstimator:
     def test_identity_observation_learnable(self, twt_spec):
         from reachmon.data import Scaler, gen_independent, scale
         from reachmon.monitor import obs_windows, state_windows
-        spec = twt_spec.with_noise_scale(0.0)
+        spec = replace(twt_spec, noise_std=0 * twt_spec.noise_std)
         ds = gen_independent(spec, 600, seed=0)
         dss = scale(ds)
         X, S = obs_windows(dss), state_windows(dss)

@@ -1,51 +1,52 @@
 import numpy as np
 import pytest
 
-from reachmon import HybridState, get_spec, label_window, reach_label, simulate
-from reachmon.errors import ShapeError
+from conftest import draw_states
+from reachmon import gen_sequential, get_spec
+from reachmon.data import _simulate_tolerant
 from reachmon.reach import reach_label_batch
-from reachmon.systems import sample_initial_batch
+
+
+def label(spec, v, q=0, horizon=None):
+    return int(reach_label_batch(spec, np.array([v], dtype=np.float64),
+                                 np.array([q], dtype=np.int64), horizon)[0])
 
 
 def test_already_unsafe_ip(ip_spec):
-    assert reach_label(ip_spec, HybridState([0.6, 0.0])) == 1
+    assert label(ip_spec, [0.6, 0.0]) == 1
 
 
 def test_already_unsafe_twt(twt_spec):
-    assert reach_label(twt_spec, HybridState([4.0, 5.0, 5.0], q=7)) == 1
+    assert label(twt_spec, [4.0, 5.0, 5.0], q=7) == 1
 
 
 def test_ip_equilibrium_safe(ip_spec):
     # oracle: simulate the horizon and confirm every state stays at zero
-    traj = simulate(ip_spec, HybridState([0.0, 0.0]), ip_spec.future_horizon)
-    assert all(abs(s.v[0]) < np.pi / 6 for s in traj.states)
-    assert reach_label(ip_spec, HybridState([0.0, 0.0])) == 0
+    Vs, _, _ = _simulate_tolerant(ip_spec, np.zeros((1, 2)), np.zeros(1, dtype=np.int64),
+                                  ip_spec.future_horizon)
+    assert (np.abs(Vs[..., 0]) < np.pi / 6).all()
+    assert label(ip_spec, [0.0, 0.0]) == 0
 
 
 def test_label_window_uses_last_state(ip_spec):
-    rng = np.random.default_rng(0)
-    V, Q = sample_initial_batch(ip_spec, 200, rng)
-    expected = reach_label_batch(ip_spec, V, Q)
-    for i in range(0, 200, 17):
-        window = [HybridState([0.0, 0.0]), HybridState(V[i], int(Q[i]))]
-        assert label_window(ip_spec, window) == expected[i]
-
-
-def test_label_window_wrong_length(ip_spec):
-    with pytest.raises(ShapeError):
-        label_window(ip_spec, [HybridState([0.0, 0.0])] * 5)
+    # a sequential window's label is the reach label of its last state
+    ds = gen_sequential(ip_spec, 20, 10, seed=0)
+    last = reach_label_batch(ip_spec, ds.states[:, -1].astype(np.float64),
+                             ds.modes[:, -1].astype(np.int64))
+    assert np.array_equal(ds.labels, last)
 
 
 def test_window_of_unsafe_state(ip_spec):
-    window = [HybridState([0.0, 0.0]), HybridState([0.7, 0.0])]
-    assert label_window(ip_spec, window) == 1
+    # an unsafe state is labelled unsafe at horizon 0, a safe one is not
+    V = np.array([[0.0, 0.0], [0.7, 0.0]])
+    labels = reach_label_batch(ip_spec, V, np.zeros(2, dtype=np.int64), horizon=0)
+    assert labels.tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("name", ["ip", "sn", "twt", "lalo", "cvdp"])
 def test_horizon_monotonicity_and_membership(name):
     spec = get_spec(name)
-    rng = np.random.default_rng(11)
-    V, Q = sample_initial_batch(spec, 400, rng)
+    V, Q = draw_states(spec, 400, seed=11)
     in_u = spec.unsafe(V, Q)
     prev = None
     for h in range(spec.future_horizon + 1):
@@ -57,8 +58,7 @@ def test_horizon_monotonicity_and_membership(name):
 
 
 def test_determinism(twt_spec):
-    rng = np.random.default_rng(3)
-    V, Q = sample_initial_batch(twt_spec, 100, rng)
+    V, Q = draw_states(twt_spec, 100, seed=3)
     a = reach_label_batch(twt_spec, V, Q)
     b = reach_label_batch(twt_spec, V, Q)
     assert np.array_equal(a, b)

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import write_linear_file
-from reachmon import HybridState, get_spec, load_linear_system, observe, sample_initial, simulate, step
+from conftest import draw_states, rollout, write_linear_file
+from reachmon import get_spec, load_linear_system
 from reachmon.benchmarks import SN_PARAMS, TWT_PARAMS
-from reachmon.errors import ConfigError, IntegrationDiverged, ShapeError
-from reachmon.systems import sample_initial_batch, simulate_batch, step_batch
+from reachmon.data import _draw_noise, _simulate_tolerant
+from reachmon.errors import ConfigError, IntegrationDiverged
+from reachmon.systems import step_batch
 
 
 def rk4_oracle(f, v, dt, substeps):
@@ -21,18 +24,23 @@ def rk4_oracle(f, v, dt, substeps):
     return v
 
 
+def one(v, q=0):
+    """A batch of one state and its mode."""
+    return np.array([v], dtype=np.float64), np.array([q], dtype=np.int64)
+
+
 class TestStep:
     def test_ip_equilibrium_unchanged(self, ip_spec):
-        s = step(ip_spec, HybridState([0.0, 0.0]))
-        assert np.array_equal(s.v, [0.0, 0.0])
+        V, _ = step_batch(ip_spec, *one([0.0, 0.0]))
+        assert np.array_equal(V, [[0.0, 0.0]])
 
     def test_sn_jump_reset(self):
         spec = get_spec("sn")
         # potential just below the firing threshold with huge upward drift
-        s = step(spec, HybridState([29.99, 10.0]))
-        assert s.v[0] == SN_PARAMS["c"]
+        V, _ = step_batch(spec, *one([29.99, 10.0]))
+        assert V[0, 0] == SN_PARAMS["c"]
         # recovery integrates slightly, then gains the reset increment
-        assert 10.0 + SN_PARAMS["d"] - 0.1 < s.v[1] < 10.0 + SN_PARAMS["d"] + 0.1
+        assert 10.0 + SN_PARAMS["d"] - 0.1 < V[0, 1] < 10.0 + SN_PARAMS["d"] + 0.1
 
     def test_lalo_step_matches_fine_rk4_oracle(self):
         spec = get_spec("lalo")
@@ -43,112 +51,100 @@ class TestStep:
             return spec.drift(V, None, 0.0, np.zeros(1, dtype=np.int64))[0]
 
         expected = rk4_oracle(f, v0, spec.dt, 10)
-        got = step(spec, HybridState(v0)).v
+        got = step_batch(spec, *one(v0))[0][0]
         # single-step truncation gap vs the 10x-finer reference is ~1e-6
         assert np.abs(got - expected).max() < 2e-6
+        # the refined flow is that reference
+        refined = rollout(spec, *one(v0), 1, substeps=10)[0][-1, 0]
+        assert np.abs(refined - expected).max() < 1e-12
 
     def test_step_is_pure(self, ip_spec):
-        s = HybridState([0.3, -0.7])
-        a = step(ip_spec, s)
-        b = step(ip_spec, s)
-        assert np.array_equal(a.v, b.v) and a.q == b.q
-
-    def test_wrong_dim_rejected(self, ip_spec):
-        with pytest.raises(ShapeError):
-            step(ip_spec, HybridState([0.0, 0.0, 0.0]))
+        V0, Q0 = draw_states(ip_spec, 50, seed=1)
+        V0c, Q0c = V0.copy(), Q0.copy()
+        a = step_batch(ip_spec, V0, Q0)
+        b = step_batch(ip_spec, V0, Q0)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert np.array_equal(V0, V0c) and np.array_equal(Q0, Q0c)
 
     def test_divergence_raises(self, tmp_path):
         # exploding linear system: dv/dt = 1000 v overflows within 60 steps
         path = write_linear_file(tmp_path / "boom.txt", a=[[1000.0]], dt=1.0)
         spec = load_linear_system(path)
-        with pytest.raises(IntegrationDiverged) as exc, np.errstate(over="ignore"):
-            simulate(spec, HybridState([1.0]), 500)
-        assert exc.value.step_index is not None
+        V, Q = one([1.0])
+        with pytest.raises(IntegrationDiverged), np.errstate(over="ignore"):
+            for _ in range(500):
+                V, Q = step_batch(spec, V, Q)
 
 
 class TestSimulate:
     def test_zero_steps(self, ip_spec):
-        traj = simulate(ip_spec, HybridState([0.1, 0.2]), 0)
-        assert len(traj) == 1
-        assert np.array_equal(traj[0].v, [0.1, 0.2])
+        Vs, Qs, ok = _simulate_tolerant(ip_spec, *one([0.1, 0.2]), 0)
+        assert Vs.shape == (1, 1, 2) and ok.all()
+        assert np.array_equal(Vs[0, 0], [0.1, 0.2])
 
     def test_ip_fixed_point(self, ip_spec):
-        traj = simulate(ip_spec, HybridState([0.0, 0.0]), 10)
-        for s in traj.states:
-            assert np.array_equal(s.v, [0.0, 0.0])
+        Vs, _, _ = _simulate_tolerant(ip_spec, *one([0.0, 0.0]), 10)
+        assert Vs.shape == (11, 1, 2) and (Vs == 0.0).all()
 
     def test_twt_containment_matches_fine_oracle(self, twt_spec):
-        q0 = int(twt_spec.init_mode(np.array([[5.0, 5.0, 5.0]]))[0])
-        s0 = HybridState([5.0, 5.0, 5.0], q=q0)
-        traj = simulate(twt_spec, s0, 20)
-        oracle = simulate(twt_spec, s0, 20, substeps=10)
+        V0 = np.array([[5.0, 5.0, 5.0]])
+        Q0 = twt_spec.init_mode(V0)
+        Vs, _, _ = _simulate_tolerant(twt_spec, V0, Q0, 20)
+        oracle, _ = rollout(twt_spec, V0, Q0, 20, substeps=10)
         lo, hi = TWT_PARAMS["safe_lo"], TWT_PARAMS["safe_hi"]
-        for s, o in zip(traj.states, oracle.states):
-            assert np.abs(s.v - o.v).max() < 1e-6
-            assert (o.v >= lo).all() and (o.v <= hi).all()
+        assert np.abs(Vs - oracle).max() < 1e-6
+        assert (oracle >= lo).all() and (oracle <= hi).all()
 
     def test_substep_halving_all_models(self):
         # integrator refinement within a step: control and jump cadence fixed
         for name in ("ip", "sn", "cvdp", "lalo", "twt"):
             spec = get_spec(name)
-            rng = np.random.default_rng(7)
-            V0, Q0 = sample_initial_batch(spec, 20, rng)
-            V1, _ = simulate_batch(spec, V0, Q0, 16, substeps=1)
-            V2, _ = simulate_batch(spec, V0, Q0, 16, substeps=2)
+            V0, Q0 = draw_states(spec, 20, seed=7)
+            V1, _ = rollout(spec, V0, Q0, 16, substeps=1)
+            V2, _ = rollout(spec, V0, Q0, 16, substeps=2)
             assert np.abs(V1[-1] - V2[-1]).max() < 1e-3, name
 
 
 class TestObserve:
     def test_ip_zero_energy(self, ip_spec):
-        spec = ip_spec.with_noise_scale(0.0)
-        y = observe(spec, HybridState([0.0, 0.0]), np.random.default_rng(0))
-        assert y.shape == (1,) and y[0] == 0.0
+        y = ip_spec.observe_fn(*one([0.0, 0.0]))
+        assert y.shape == (1, 1) and y[0, 0] == 0.0
 
     def test_ip_energy_formula(self, ip_spec):
-        spec = ip_spec.with_noise_scale(0.0)
-        y = observe(spec, HybridState([0.0, 2.0]), np.random.default_rng(0))
-        assert y[0] == pytest.approx(1.0, abs=1e-12)
+        y = ip_spec.observe_fn(*one([0.0, 2.0]))
+        assert y[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_twt_identity(self, twt_spec):
-        spec = twt_spec.with_noise_scale(0.0)
-        y = observe(spec, HybridState([5.0, 5.0, 5.0], q=0),
-                    np.random.default_rng(0))
-        assert np.array_equal(y, [5.0, 5.0, 5.0])
+        y = twt_spec.observe_fn(*one([5.0, 5.0, 5.0]))
+        assert np.array_equal(y, [[5.0, 5.0, 5.0]])
 
     def test_zero_noise_deterministic(self, ip_spec):
-        spec = ip_spec.with_noise_scale(0.0)
-        s = HybridState([0.3, 0.4])
-        y1 = observe(spec, s, np.random.default_rng(1))
-        y2 = observe(spec, s, np.random.default_rng(2))
-        assert np.array_equal(y1, y2)
+        spec = replace(ip_spec, noise_std=0 * ip_spec.noise_std)
+        n1 = _draw_noise(spec, 1, 0, 0, 5)
+        n2 = _draw_noise(spec, 2, 0, 0, 5)
+        assert np.array_equal(n1, n2) and (n1 == 0.0).all()
 
     def test_noise_statistics(self, twt_spec):
-        rng = np.random.default_rng(3)
-        s = HybridState([5.0, 5.0, 5.0], q=0)
-        ys = np.array([observe(twt_spec, s, rng) for _ in range(4000)])
-        std = (ys - 5.0).std(axis=0)
+        noise = _draw_noise(twt_spec, 3, 0, 0, 4000)
+        std = noise.std(axis=0)
         assert np.abs(std - twt_spec.noise_std).max() < 0.05 * twt_spec.noise_std.max() + 1e-3
 
 
 class TestSampleInitial:
     def test_ip_box(self, ip_spec):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            s = sample_initial(ip_spec, rng)
-            assert -np.pi / 4 <= s.v[0] <= np.pi / 4
-            assert -1.5 <= s.v[1] <= 1.5
+        V, _ = draw_states(ip_spec, 100)
+        assert (-np.pi / 4 <= V[:, 0]).all() and (V[:, 0] <= np.pi / 4).all()
+        assert (-1.5 <= V[:, 1]).all() and (V[:, 1] <= 1.5).all()
 
     def test_twt_box_and_pump_convention(self, twt_spec):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            s = sample_initial(twt_spec, rng)
-            assert (s.v >= 4.5).all() and (s.v <= 5.5).all()
-            expected_q = int(twt_spec.init_mode(s.v[None, :])[0])
-            assert s.q == expected_q
+        V, Q = draw_states(twt_spec, 100)
+        assert (V >= 4.5).all() and (V <= 5.5).all()
+        # pump i is on (bit i of the mode) iff tank i starts below 5
+        bits = (Q[:, None] >> np.arange(3)) & 1
+        assert np.array_equal(bits, (V < 5.0).astype(bits.dtype))
 
     def test_mean_concentration(self, ip_spec):
-        rng = np.random.default_rng(5)
-        V, _ = sample_initial_batch(ip_spec, 10_000, rng)
+        V, _ = draw_states(ip_spec, 10_000, seed=5)
         assert abs(V[:, 0].mean()) < 0.02
 
 
@@ -184,16 +180,15 @@ class TestLinearLoader:
                                  a=[[0.0, 0.0], [0.0, 0.0]], obs=(0, 1),
                                  noise=(0.0, 0.0))
         spec = load_linear_system(path)
-        traj = simulate(spec, HybridState([0.3, -0.4]), 5)
-        for s in traj.states:
-            assert np.array_equal(s.v, [0.3, -0.4])
+        Vs, _, _ = _simulate_tolerant(spec, *one([0.3, -0.4]), 5)
+        assert (Vs == np.array([0.3, -0.4])).all()
 
     def test_decay_rk4_value(self, tmp_path):
         path = write_linear_file(tmp_path / "decay.txt", a=[[-1.0]], dt=0.1)
         spec = load_linear_system(path)
-        s = step(spec, HybridState([1.0]))
-        assert s.v[0] == pytest.approx(0.9048375, abs=1e-9)
-        assert s.v[0] == pytest.approx(np.exp(-0.1), abs=1e-6)
+        V, _ = step_batch(spec, *one([1.0]))
+        assert V[0, 0] == pytest.approx(0.9048375, abs=1e-9)
+        assert V[0, 0] == pytest.approx(np.exp(-0.1), abs=1e-6)
 
     def test_unsafe_threshold_predicate(self, tmp_path):
         path = write_linear_file(tmp_path / "alt.txt", dim=2,

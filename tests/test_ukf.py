@@ -5,9 +5,9 @@ import pytest
 
 from conftest import write_linear_file
 from reachmon import get_spec, load_linear_system
-from reachmon.data import gen_independent
+from reachmon.data import _draw_noise, _simulate_tolerant, gen_independent
 from reachmon.errors import FilterDiverged, IntegrationDiverged, ShapeError
-from reachmon.systems import HybridState, observe, simulate, step_batch
+from reachmon.systems import step_batch
 from reachmon.ukf import UKFConfig, relative_error, ukf_estimate
 
 
@@ -177,10 +177,11 @@ class TestUkf:
                                  dt=0.1, noise=(0.0,),
                                  init=[(-1.0, 1.0), (-1.0, 1.0)])
         spec = load_linear_system(path)
-        truth = simulate(spec, HybridState([0.4, -0.3]), 14)
-        obs_seq = np.array([s.v[:1] for s in truth.states])
+        truth, _, _ = _simulate_tolerant(spec, np.array([[0.4, -0.3]]),
+                                         np.zeros(1, dtype=np.int64), 14)
+        obs_seq = truth[:, 0, :1]
         est = ukf_estimate(spec, obs_seq[None], UKFConfig(process_noise=1e-10))[0]
-        err = np.abs(est[10:, 0] - np.array([s.v[0] for s in truth.states[10:]]))
+        err = np.abs(est[10:, 0] - truth[10:, 0, 0])
         assert err.max() < 1e-3
 
     def test_identity_observation_tracks_levels(self, twt_spec):
@@ -225,10 +226,10 @@ class TestUkf:
     def test_runs_through_sn_jump(self):
         # sigma points pass through the reset logic without diverging
         spec = get_spec("sn")
-        rng = np.random.default_rng(3)
-        s = HybridState([29.5, 10.0])
-        traj = simulate(spec, s, spec.past_horizon)
-        obs_seq = np.array([observe(spec, st, rng) for st in traj.states])
+        Vs, Qs, _ = _simulate_tolerant(spec, np.array([[29.5, 10.0]]),
+                                       np.zeros(1, dtype=np.int64), spec.past_horizon)
+        obs_seq = (spec.observe_fn(Vs[:, 0], Qs[:, 0])
+                   + _draw_noise(spec, 3, 0, 0, spec.window_len))
         est = ukf_estimate(spec, obs_seq[None])
         assert np.isfinite(est).all()
 
