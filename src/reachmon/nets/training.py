@@ -228,13 +228,14 @@ def predict(model: MonitorModel, X_obs):
 
 
 def save_model(model: MonitorModel, path):
-    """Checkpoint: netspecs + metadata in meta.json, float32 weight arrays."""
+    """Checkpoint: netspecs + metadata in meta.json, weight arrays in each
+    net's dtype, so the reloaded monitor is the one that was calibrated."""
     arrays = {}
     specs = {}
     for name, net in model.nets.items():
         specs[name] = net.spec
         for i, p in enumerate(net.params):
-            arrays[f"w_{name}_{i}"] = p.astype(np.float32)
+            arrays[f"w_{name}_{i}"] = p
     meta = {"kind": "checkpoint", "monitor_kind": model.kind,
             "netspecs": specs, "train_meta": model.meta}
     save_container(path, meta, arrays)

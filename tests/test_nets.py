@@ -431,10 +431,11 @@ class TestCheckpoint:
         save_model(model, tmp_path / "ckpt")
         back = load_model(tmp_path / "ckpt")
         assert back.kind == "end_to_end" and back.meta == {"seed": 3}
-        x = np.random.default_rng(0).normal(size=(5, 1, 2)).astype(np.float32)
-        a = predict(model, x)["likelihoods"].astype(np.float32)
-        b = predict(back, x)["likelihoods"].astype(np.float32)
-        assert np.abs(a - b).max() < 1e-6
+        for p, q in zip(net.params, back.nets["classifier"].params, strict=True):
+            assert p.dtype == q.dtype and np.array_equal(p, q)
+        x = np.random.default_rng(0).normal(size=(5, 1, 2))
+        assert np.array_equal(predict(model, x)["likelihoods"],
+                              predict(back, x)["likelihoods"])
 
     def test_stored_bytes_stable(self, tmp_path):
         net = make_net(build_classifier_spec(1, 2, "desk"), seed=4)

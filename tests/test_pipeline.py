@@ -3,12 +3,15 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 from conftest import write_linear_file
 
 from reachmon import cli, pipeline
 from reachmon.config import ExperimentConfig, load_config
+from reachmon.data import scale
 from reachmon.errors import ConfigError
+from reachmon.evaluate import calibration_scores
 from reachmon.nets import load_model
 
 
@@ -86,6 +89,25 @@ class TestBundleModel:
         monkeypatch.chdir(other)
         assert cli.main(["anomaly", "--bundle", str(made / "bundle"),
                          *common]) == cli.EXIT_OK
+
+
+class TestCalibrationMatchesReload:
+    @pytest.mark.parametrize("approach", ["two-step", "e2e"])
+    def test_reloaded_monitor_reproduces_stored_scores(self, tmp_path, approach):
+        # eval, active, anomaly and the verdict path use the reloaded
+        # monitor; its calibration scores are the ones train stored
+        conf = tmp_path / "small.conf"
+        conf.write_text("epochs_scale = 0.05\nk_folds = 2\n")
+        data, bundle = str(tmp_path / "data"), str(tmp_path / "bundle")
+        common = ["--config", str(conf)]
+        assert cli.main(["gen", "--model", "lalo", "--n", "400", "--seed", "3",
+                         "--out", data, *common]) == cli.EXIT_OK
+        assert cli.main(["train", "--data", data, "--out", bundle,
+                         "--n-train", "200", "--n-calib", "120", "--n-test", "80",
+                         "--approach", approach, *common]) == cli.EXIT_OK
+        b = pipeline.Bundle(bundle)
+        scores = calibration_scores(b.monitor, scale(b.calib_ds, b.scaler)).scores
+        assert np.array_equal(scores, b.calib.scores)
 
 
 class TestActiveCheckpoint:
