@@ -288,33 +288,36 @@ def load_linear_system(path) -> HybridSystemSpec:
     header: dict = {"init": []}
     matrix_rows: list[list[float]] = []
     in_matrix = False
-    for ln in lines:
-        if in_matrix:
-            matrix_rows.append([float(x) for x in ln.split()])
-            continue
-        key, *rest = ln.split()
-        if key == "A":
-            in_matrix = True
-        elif key == "init":
-            header["init"].append((float(rest[0]), float(rest[1])))
-        elif key in ("dim", "hp", "hf"):
-            header[key] = int(rest[0])
-        elif key == "dt":
-            header["dt"] = float(rest[0])
-        elif key == "obs":
-            header["obs"] = [int(x) for x in rest]
-        elif key == "noise":
-            header["noise"] = [float(x) for x in rest]
-        elif key == "unsafe":
-            header["unsafe"] = (int(rest[0]), rest[1], float(rest[2]))
-        else:
-            raise ConfigError(f"linear-system file: unknown key {key!r}")
+    try:
+        for ln in lines:
+            if in_matrix:
+                matrix_rows.append([float(x) for x in ln.split()])
+                continue
+            key, *rest = ln.split()
+            if key == "A":
+                in_matrix = True
+            elif key == "init":
+                header["init"].append((float(rest[0]), float(rest[1])))
+            elif key in ("dim", "hp", "hf"):
+                header[key] = int(rest[0])
+            elif key == "dt":
+                header["dt"] = float(rest[0])
+            elif key == "obs":
+                header["obs"] = [int(x) for x in rest]
+            elif key == "noise":
+                header["noise"] = [float(x) for x in rest]
+            elif key == "unsafe":
+                header["unsafe"] = (int(rest[0]), rest[1], float(rest[2]))
+            else:
+                raise ConfigError(f"linear-system file: unknown key {key!r}")
+        A = np.array(matrix_rows, dtype=np.float64)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"linear-system file {path}: {exc}") from None
 
     for req in ("dim", "obs", "unsafe", "hp", "hf", "dt"):
         if req not in header:
             raise ConfigError(f"linear-system file: missing key {req!r}")
     n = header["dim"]
-    A = np.array(matrix_rows, dtype=np.float64)
     if A.shape != (n, n):
         raise ConfigError(f"linear-system file: A has shape {A.shape}, expected ({n}, {n})")
     obs_idx = header["obs"]
@@ -345,14 +348,17 @@ def load_linear_system(path) -> HybridSystemSpec:
         def unsafe(V, Q):
             return V[:, coord] >= thr
 
-    return HybridSystemSpec(
-        name="linear", state_dim=n, obs_dim=len(obs_idx), modes=(0,),
-        dt=header["dt"], past_horizon=header["hp"], future_horizon=header["hf"],
-        noise_std=noise,
-        init_lo=[lo for lo, _ in init], init_hi=[hi for _, hi in init],
-        drift=drift, control=_no_control, observe_fn=observe_fn,
-        jump=_identity_jump, unsafe=unsafe, init_mode=_single_mode,
-    )
+    try:
+        return HybridSystemSpec(
+            name="linear", state_dim=n, obs_dim=len(obs_idx), modes=(0,),
+            dt=header["dt"], past_horizon=header["hp"], future_horizon=header["hf"],
+            noise_std=noise,
+            init_lo=[lo for lo, _ in init], init_hi=[hi for _, hi in init],
+            drift=drift, control=_no_control, observe_fn=observe_fn,
+            jump=_identity_jump, unsafe=unsafe, init_mode=_single_mode,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"linear-system file {path}: {exc}") from None
 
 
 REGISTRY = {

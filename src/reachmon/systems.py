@@ -63,12 +63,15 @@ class HybridSystemSpec:
         object.__setattr__(self, "init_hi", np.asarray(self.init_hi, dtype=np.float64))
         if self.past_horizon < 1 or self.future_horizon < 1:
             raise ValueError("horizons must be >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if (self.noise_std < 0).any():
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not (self.noise_std >= 0).all():
             raise ValueError("noise_std must be componentwise >= 0")
         if (self.init_hi < self.init_lo).any():
             raise ValueError("init_domain is empty")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.init_hi - self.init_lo).all():
+                raise ValueError("init_domain must have a finite width")
 
     @property
     def window_len(self) -> int:

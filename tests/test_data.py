@@ -242,15 +242,16 @@ class TestGenBitExact:
         with pytest.raises(ValueError):
             gen(ip_spec, -1)
 
-    @pytest.mark.parametrize("gen", [
-        lambda spec: gen_independent(spec, 4, seed=0),
-        lambda spec: gen_sequential(spec, 2, 3, seed=0),
-        lambda spec: _ref_independent(spec, 4, 0)])
-    def test_non_finite_init_range_rejected(self, ip_spec, gen):
-        spec = replace(ip_spec, init_lo=np.array([-1e308, -1.5]),
-                       init_hi=np.array([1e308, 1.5]))
-        with pytest.raises(OverflowError), np.errstate(over="ignore"):
-            gen(spec)
+    @pytest.mark.parametrize("build", [
+        lambda spec: replace(spec, init_lo=np.array([-1e308, -1.5]),
+                             init_hi=np.array([1e308, 1.5])),
+        lambda spec: replace(spec, init_lo=np.array([-np.inf, -1.5])),
+        lambda spec: replace(spec, init_hi=np.array([np.nan, 1.5]))])
+    def test_non_finite_init_range_rejected(self, ip_spec, build):
+        # a spec whose init box has no finite width is refused when it is
+        # built, before any generation draws from it
+        with pytest.raises(ValueError, match="finite width"):
+            build(ip_spec)
 
     @pytest.mark.parametrize("seed,words", [
         (0, [0]), (5, [5]), (2 ** 32 - 1, [2 ** 32 - 1]), (2 ** 32, [0, 1]),

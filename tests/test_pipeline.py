@@ -110,6 +110,19 @@ class TestCalibrationMatchesReload:
         assert np.array_equal(scores, b.calib.scores)
 
 
+class TestMalformedLinearFile:
+    @pytest.mark.parametrize("fields", [
+        {"dt": -1}, {"hp": 0}, {"noise": (-0.1,)}, {"dt": "abc"},
+        {"init": [(-1e308, 1e308)]}],
+        ids=["dt-negative", "hp-zero", "noise-negative", "dt-not-a-number",
+             "init-too-wide"])
+    def test_gen_exits_with_config_error(self, tmp_path, fields):
+        path = write_linear_file(tmp_path / "f.txt", **fields)
+        code = cli.main(["gen", "--model", f"linear:{path}", "--n", "10",
+                         "--out", str(tmp_path / "data")])
+        assert code == cli.EXIT_CONFIG
+
+
 class TestActiveCheckpoint:
     @pytest.mark.parametrize("flags", [[], ["--approach", "e2e"], ["--cold"]])
     def test_checkpoint_meta_records_last_retrain(self, tmp_path, flags):
