@@ -321,8 +321,8 @@ def load_linear_system(path) -> HybridSystemSpec:
     if A.shape != (n, n):
         raise ConfigError(f"linear-system file: A has shape {A.shape}, expected ({n}, {n})")
     obs_idx = header["obs"]
-    if any(i < 0 or i >= n for i in obs_idx):
-        raise ConfigError("linear-system file: obs index out of range")
+    if not obs_idx or any(i < 0 or i >= n for i in obs_idx):
+        raise ConfigError("linear-system file: obs must list indices in range")
     coord, op, thr = header["unsafe"]
     if op not in ("le", "ge") or coord < 0 or coord >= n:
         raise ConfigError("linear-system file: bad unsafe predicate")

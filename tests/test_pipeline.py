@@ -113,9 +113,9 @@ class TestCalibrationMatchesReload:
 class TestMalformedLinearFile:
     @pytest.mark.parametrize("fields", [
         {"dt": -1}, {"hp": 0}, {"noise": (-0.1,)}, {"dt": "abc"},
-        {"init": [(-1e308, 1e308)]}],
+        {"init": [(-1e308, 1e308)]}, {"obs": ()}],
         ids=["dt-negative", "hp-zero", "noise-negative", "dt-not-a-number",
-             "init-too-wide"])
+             "init-too-wide", "obs-empty"])
     def test_gen_exits_with_config_error(self, tmp_path, fields):
         path = write_linear_file(tmp_path / "f.txt", **fields)
         code = cli.main(["gen", "--model", f"linear:{path}", "--n", "10",
