@@ -65,10 +65,13 @@ class ExperimentConfig:
         for e in self.eps:
             if not 0.0 < e < 1.0:
                 raise ConfigError(f"eps values must lie in (0, 1), got {e}")
-        for key in ("n", "n_train", "n_calib", "n_test", "pool", "iters",
-                    "k_folds", "windows_per_traj", "seq_len", "n_se_points"):
+        for key in ("n", "n_train", "n_calib", "n_test", "iters", "k_folds",
+                    "seq_len"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be nonnegative")
+        for key in ("windows_per_traj", "pool", "n_se_points"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.k_folds < 2:
             raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
         if self.noise_scale < 0:

@@ -95,6 +95,9 @@ def cmd_gen(cfg: ExperimentConfig) -> str:
     if not cfg.out:
         raise ConfigError("gen requires an output path (--out)")
     spec = get_spec(cfg.model)
+    if cfg.seq_len < spec.window_len:
+        raise ConfigError(f"seq_len={cfg.seq_len} is shorter than the "
+                          f"{cfg.model} window of {spec.window_len} steps")
     if cfg.mode == "independent":
         ds = gen_independent(spec, cfg.n, seq_len=cfg.seq_len, seed=cfg.seed)
     else:

@@ -275,6 +275,21 @@ class TestScaling:
         back = sc.unscale_states(out)
         assert (back == 3.0).all()
 
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_apply_matches_masked_formula(self, degenerate):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(50, 6, 3)) * 4.0
+        lo, hi = x.min(axis=(0, 1)), x.max(axis=(0, 1))
+        if degenerate:
+            hi[1] = lo[1]
+        span = hi - lo
+        ok = span > 0
+        want = np.zeros_like(x)
+        want[..., ok] = -1.0 + 2.0 * (x[..., ok] - lo[ok]) / span[ok]
+        got = Scaler._apply(x, lo, hi)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert (got[..., 1] == 0.0).all() == degenerate
+
     def test_fit_covers_data(self, small_ip_splits):
         tr = small_ip_splits["train_scaled"]
         assert tr.states.min() >= -1.0 - 1e-12

@@ -20,7 +20,8 @@ from reachmon.nets import (
     train_estimator,
     validate_netspec,
 )
-from reachmon.nets.layers import Conv1D
+from reachmon.nets import layers
+from reachmon.nets.layers import ROW_BLOCK, Conv1D
 from reachmon.nets.training import predict_scores, softmax
 
 
@@ -219,7 +220,9 @@ class TestConv1DBitExact:
     def test_matches_scatter_reference(self, kernel, activation):
         rng = np.random.default_rng(kernel)
         C, F = 6, 5
-        for B in (1, 64):
+        # B > ROW_BLOCK runs the row-blocked forward, whose backward
+        # rebuilds the im2col matrix from the cached input
+        for B in (1, 64, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7):
             for L in (1, 2, 6):
                 # channel_last: (B, C, L) views of (B, L, C) memory, as one
                 # conv passes its output and input gradient to the next
@@ -240,6 +243,26 @@ class TestConv1DBitExact:
                     assert np.array_equal(dx, want[1]), case
                     assert np.array_equal(layer.grads[0], want[2]), case
                     assert np.array_equal(layer.grads[1], want[3]), case
+
+    @pytest.mark.parametrize("kernel", [1, 5])
+    def test_empty_batch(self, kernel):
+        rng = np.random.default_rng(0)
+        layer = Conv1D(3, 4, kernel, "leaky_relu", rng, np.float64)
+        out = layer.forward(np.empty((0, 3, 6)))
+        assert out.shape == (0, 4, 6)
+        assert layer.backward(np.empty((0, 4, 6))).shape == (0, 3, 6)
+        assert not layer.grads[0].any() and not layer.grads[1].any()
+
+    def test_multi_block_cache_holds_no_im2col_matrix(self):
+        B, L = 3 * ROW_BLOCK + 7, 5
+        net = make_net(build_estimator_spec(2, 3, L, "desk"), seed=3)
+        net.forward(np.random.default_rng(0).normal(size=(B, 2, L)))
+        for layer in net.layers:
+            if isinstance(layer, Conv1D):
+                C, k = layer.w.shape[1:]
+                shapes = [a.shape for a in layer._cache
+                          if isinstance(a, np.ndarray)]
+                assert (B, L, C * k) not in shapes, shapes
 
 
 class TestTrainClassifier:
@@ -416,6 +439,41 @@ class TestPredict:
         a = predict(model, x)
         b = predict(model, x)
         assert np.array_equal(a["likelihoods"], b["likelihoods"])
+
+    def test_blocked_equals_unblocked(self, monkeypatch):
+        L = 5
+        nse = make_net(build_estimator_spec(1, 2, L, "desk"), seed=5)
+        nsc = make_net(build_classifier_spec(2, L, "desk"), seed=6)
+        model = MonitorModel(kind="two_step", nets={"nse": nse, "nsc": nsc})
+        x = np.random.default_rng(3).normal(size=(1000, 1, L))
+
+        def run():
+            out = predict(model, x)
+            convs = [layer._cache[3] for net in (nse, nsc)
+                     for layer in net.layers if isinstance(layer, Conv1D)]
+            return out, convs
+
+        blocked, blocked_convs = run()
+        # one block of 1000 rows: the unblocked statements
+        monkeypatch.setattr(layers, "ROW_BLOCK", 1000)
+        whole, whole_convs = run()
+        for key in ("labels", "likelihoods", "states_hat"):
+            assert np.array_equal(blocked[key], whole[key]), key
+        assert len(blocked_convs) == 5
+        for a, b in zip(blocked_convs, whole_convs, strict=True):
+            B, F, L_ = a.shape
+            # (B, F, L) views of (B, L, F) memory, as the next layer reads them
+            assert a.strides == b.strides == (L_ * F * 8, 8, F * 8)
+            assert np.array_equal(a, b)
+
+    def test_empty_batch(self):
+        nse = make_net(build_estimator_spec(1, 2, 3, "desk"), seed=5)
+        nsc = make_net(build_classifier_spec(2, 3, "desk"), seed=6)
+        model = MonitorModel(kind="two_step", nets={"nse": nse, "nsc": nsc})
+        out = predict(model, np.empty((0, 1, 3)))
+        assert out["labels"].shape == (0,)
+        assert out["likelihoods"].shape == (0, 2)
+        assert out["states_hat"].shape == (0, 2, 3)
 
     def test_classifier_scores_nonnegative(self):
         net = make_net(build_classifier_spec(2, 3, "desk"), seed=9)

@@ -174,6 +174,37 @@ class TestTrainPreconditions:
                          str(conf), "--out", str(tmp_path / "d")]) == cli.EXIT_CONFIG
 
 
+class TestCountsBelowOne:
+    @pytest.mark.parametrize("key", ["windows_per_traj", "pool", "n_se_points"])
+    def test_validate_rejects_zero(self, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: 0}).validate()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["gen", "--model", "ip", "--mode", "seq", "--windows", "0",
+          "--n", "100"], "windows_per_traj"),
+        (["active", "--pool", "0"], "pool"),
+        (["compare-se", "--n-points", "0"], "n_se_points")],
+        ids=["gen-windows", "active-pool", "compare-se-points"])
+    def test_cli_exits_with_config_error(self, tmp_path, capsys, argv, key):
+        # the bundle does not exist: the count must be refused first
+        where = "--out" if argv[0] == "gen" else "--bundle"
+        assert cli.main([*argv, where, str(tmp_path / "x")]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+class TestGenSeqLen:
+    def test_shorter_than_window_is_a_config_error(self, tmp_path, capsys):
+        conf = tmp_path / "short.conf"
+        conf.write_text("seq_len = 1\n")   # ip windows are 2 steps long
+        data = tmp_path / "data"
+        assert cli.main(["gen", "--model", "ip", "--n", "10", "--config",
+                         str(conf), "--out", str(data)]) == cli.EXIT_CONFIG
+        assert "seq_len" in capsys.readouterr().err
+        assert not data.exists()
+
+
 def _rerun_digests(tmp_path, gen_args, train_args=(),
                    compare_se_code=cli.EXIT_OK):
     """Runs the six commands twice into the same paths; returns the file
