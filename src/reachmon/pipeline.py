@@ -23,7 +23,7 @@ from .config import ExperimentConfig
 from .conformal import CalibrationSet
 from .data import Dataset, Scaler, gen_independent, gen_sequential, load, save, scale, split
 from .detect import RejectionRule, check_folds
-from .errors import ConfigError, MissingArtifact
+from .errors import ConfigError, InsufficientData, MissingArtifact
 from .evaluate import (
     RULE_STREAM,
     calibration_scores,
@@ -120,6 +120,9 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     if not cfg.data or not cfg.out:
         raise ConfigError("train requires --data and --out")
     check_folds(cfg.n_calib, cfg.k_folds)  # fail before training, not after
+    if cfg.n_train == 0:
+        raise InsufficientData("train needs a nonempty training split "
+                               "(n_train = 0)")
     dataset = load(cfg.data)
     # the dataset, not the config (``train`` has no --model), names the model
     cfg = replace(cfg, model=dataset.model_name)
@@ -300,6 +303,9 @@ def cmd_anomaly(cfg: ExperimentConfig) -> dict:
         raise ConfigError("anomaly requires --bundle")
     b = Bundle(cfg.bundle)
     cfg = b.config(cfg)
+    if b.test_ds.n == 0:
+        raise InsufficientData("anomaly needs a bundle with a nonempty test "
+                               "split")
     spec = b.spec
     clean_scaled = scale(b.test_ds, b.scaler)
     anom_scaled = scale(anomalous_copy(b.test_ds, spec, cfg.noise_scale), b.scaler)
@@ -325,7 +331,13 @@ def cmd_anomaly(cfg: ExperimentConfig) -> dict:
 # --- compare state estimators ---------------------------------------------------
 
 def cmd_compare_se(cfg: ExperimentConfig) -> dict:
-    """Relative reconstruction error of the neural estimator vs the UKF."""
+    """Relative reconstruction error of the neural estimator vs the UKF.
+
+    Both estimators see the first ``n_se_points`` test windows: the NSE in
+    one batched predict, the UKF in one lockstep bank (:func:`ukf_estimate`).
+    Each estimator's (N,) errors come from one :func:`relative_error` call
+    on the whole stack; the report holds their mean and standard deviation.
+    """
     if not cfg.bundle:
         raise ConfigError("compare-se requires --bundle")
     b = Bundle(cfg.bundle)
@@ -335,6 +347,9 @@ def cmd_compare_se(cfg: ExperimentConfig) -> dict:
                           "in an end-to-end monitor)")
     spec = b.spec
     n_points = min(cfg.n_se_points, b.test_ds.n)
+    if n_points == 0:
+        raise InsufficientData("compare-se needs a bundle with a nonempty "
+                               "test split")
     subset = b.test_ds.subset(np.arange(n_points))
     sub_scaled = scale(subset, b.scaler)
 
@@ -345,10 +360,8 @@ def cmd_compare_se(cfg: ExperimentConfig) -> dict:
 
     ukf_states = ukf_estimate(spec, subset.obs)
     true_states = subset.states.astype(np.float64)
-    nse_err = np.array([relative_error(s, e, ranges)
-                        for s, e in zip(true_states, nse_states)])
-    ukf_err = np.array([relative_error(s, e, ranges)
-                        for s, e in zip(true_states, ukf_states)])
+    nse_err = relative_error(true_states, nse_states, ranges)
+    ukf_err = relative_error(true_states, ukf_states, ranges)
 
     report = {
         "n_points": int(n_points),

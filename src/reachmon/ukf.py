@@ -196,14 +196,26 @@ def ukf_estimate(spec: HybridSystemSpec, obs, cfg: UKFConfig | None = None
     return estimates.reshape(N, n_modes, L, n)[np.arange(N), best]
 
 
-def relative_error(true_seq, est_seq, state_range) -> float:
-    """Norm of the sequence reconstruction error divided by the maximum
-    state range; zero-range dimensions are excluded with a warning."""
-    a = np.asarray(true_seq, dtype=np.float64)
-    b = np.asarray(est_seq, dtype=np.float64)
+def relative_error(true_seqs, est_seqs, state_range) -> np.ndarray:
+    """Relative reconstruction error of each of N state sequences.
+
+    ``true_seqs`` and ``est_seqs`` are (N, L, n) stacks.  Row ``i`` of the
+    (N,) result is the Euclidean norm of ``true_seqs[i] - est_seqs[i]`` over
+    the dimensions of nonzero range, divided by the largest range.
+    Zero-range dimensions are excluded with one warning per call.
+
+    Each row's squared norm is one BLAS dot, reached through a stacked
+    (N, 1, K) @ (N, K, 1) matmul: the same dot ``np.linalg.norm`` takes on
+    the flattened row, so every error equals the per-sequence norm bit for
+    bit (``einsum`` or ``(d * d).sum`` would sum in another order).
+    """
+    a = np.asarray(true_seqs, dtype=np.float64)
+    b = np.asarray(est_seqs, dtype=np.float64)
     r = np.asarray(state_range, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"sequence shapes differ: {a.shape} vs {b.shape}")
+    if a.ndim != 3:
+        raise ShapeError(f"expected (N, L, n) stacks, got shape {a.shape}")
     if a.shape[-1] != r.size:
         raise ShapeError("state_range length does not match state dimension")
     keep = r > 0
@@ -212,5 +224,7 @@ def relative_error(true_seq, est_seq, state_range) -> float:
                       "from relative error")
     if not keep.any():
         raise ShapeError("all state dimensions have zero range")
-    diff = (a[..., keep] - b[..., keep]).ravel()
-    return float(np.linalg.norm(diff) / r[keep].max())
+    N, L, _ = a.shape
+    d = (a[..., keep] - b[..., keep]).reshape(N, 1, L * int(keep.sum()))
+    sq = (d @ d.transpose(0, 2, 1)).reshape(N)
+    return np.sqrt(sq) / r[keep].max()

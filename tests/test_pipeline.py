@@ -164,6 +164,22 @@ class TestTrainPreconditions:
                          "--n-train", "200", "--n-calib", "80",
                          "--n-test", "20"]) == cli.EXIT_CONFIG
 
+    def test_empty_training_split_fails_before_training(self, tmp_path,
+                                                         monkeypatch, capsys):
+        data = str(tmp_path / "data")
+        assert cli.main(["gen", "--model", "ip", "--n", "300",
+                         "--out", data]) == cli.EXIT_OK
+        def no_training(*args):
+            raise AssertionError("train_monitor ran on an empty training split")
+
+        monkeypatch.setattr(pipeline, "train_monitor", no_training)
+        # 250 // 5 = 50 calibration points per fold pass the fold check
+        assert cli.main(["train", "--data", data, "--out", str(tmp_path / "b"),
+                         "--n-train", "0", "--n-calib", "250",
+                         "--n-test", "50"]) == cli.EXIT_CONFIG
+        assert "n_train = 0" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     @pytest.mark.parametrize("k_folds", [0, 1])
     def test_fewer_than_two_folds_is_a_config_error(self, tmp_path, k_folds):
         with pytest.raises(ConfigError):
@@ -192,6 +208,34 @@ class TestCountsBelowOne:
         assert cli.main([*argv, where, str(tmp_path / "x")]) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+@pytest.fixture(scope="class")
+def no_test_bundle(tmp_path_factory):
+    """A two-step lalo bundle trained with ``--n-test 0``."""
+    root = tmp_path_factory.mktemp("no_test")
+    conf = root / "small.conf"
+    conf.write_text("epochs_scale = 0.05\nk_folds = 2\n")
+    data, bundle = str(root / "data"), str(root / "bundle")
+    assert cli.main(["gen", "--model", "lalo", "--n", "400", "--seed", "3",
+                     "--out", data, "--config", str(conf)]) == cli.EXIT_OK
+    assert cli.main(["train", "--data", data, "--out", bundle,
+                     "--n-train", "200", "--n-calib", "120", "--n-test", "0",
+                     "--config", str(conf)]) == cli.EXIT_OK
+    return root / "bundle"
+
+
+class TestEmptyTestSplit:
+    @pytest.mark.parametrize("command, message", [
+        ("eval", "no regions to score"),
+        ("anomaly", "nonempty test split"),
+        ("compare-se", "nonempty test split")])
+    def test_exits_with_config_error(self, no_test_bundle, capsys, command,
+                                     message):
+        assert cli.main([command, "--bundle", str(no_test_bundle)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        report = f"{command.replace('-', '_')}.json"
+        assert not (no_test_bundle / "reports" / report).exists()
 
 
 class TestGenSeqLen:

@@ -234,34 +234,84 @@ class TestUkf:
         assert np.isfinite(est).all()
 
 
+def _relative_error_per_window(true, est, ranges):
+    """Reference: one ``np.linalg.norm`` per window."""
+    keep = ranges > 0
+    return np.array([np.linalg.norm((a - b)[..., keep].ravel()) / ranges[keep].max()
+                     for a, b in zip(true, est)])
+
+
 class TestRelativeError:
     def test_zero_for_equal(self):
-        x = np.random.default_rng(0).normal(size=(5, 3))
-        assert relative_error(x, x, np.ones(3)) == 0.0
+        x = np.random.default_rng(0).normal(size=(4, 5, 3))
+        r = relative_error(x, x, np.ones(3))
+        assert r.shape == (4,)
+        assert (r == 0.0).all()
 
     def test_constant_offset_closed_form(self):
         # offset of one full range unit on one dimension over L steps:
         # norm = range * sqrt(L), denominator = max range
-        L = 6
-        true = np.zeros((L, 2))
+        N, L = 3, 6
+        true = np.zeros((N, L, 2))
         est = true.copy()
         ranges = np.array([2.0, 5.0])
-        est[:, 0] += ranges[0]
+        est[:, :, 0] += ranges[0]
         want = ranges[0] * np.sqrt(L) / ranges.max()
-        assert relative_error(true, est, ranges) == pytest.approx(want)
+        r = relative_error(true, est, ranges)
+        assert r.shape == (N,)
+        assert r == pytest.approx(np.full(N, want))
 
     def test_zero_range_dimension_excluded(self):
-        true = np.zeros((4, 2))
-        est = np.ones((4, 2))
-        with pytest.warns(UserWarning):
+        true = np.zeros((3, 4, 2))
+        est = np.ones((3, 4, 2))
+        with pytest.warns(UserWarning) as record:
             v = relative_error(true, est, np.array([0.0, 2.0]))
-        assert v == pytest.approx(np.sqrt(4.0) / 2.0)
+        assert len(record) == 1   # once per call, not once per window
+        assert v == pytest.approx(np.full(3, np.sqrt(4.0) / 2.0))
 
     def test_nonnegative_and_definite(self):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.normal(size=(3, 2))
-            b = rng.normal(size=(3, 2))
-            r = relative_error(a, b, np.array([1.0, 1.0]))
-            assert r >= 0.0
-            assert (r == 0.0) == np.array_equal(a, b)
+        a = rng.normal(size=(20, 3, 2))
+        b = rng.normal(size=(20, 3, 2))
+        b[::4] = a[::4]
+        r = relative_error(a, b, np.array([1.0, 1.0]))
+        assert (r >= 0.0).all()
+        assert np.array_equal(r == 0.0, (a == b).all(axis=(1, 2)))
+
+    @pytest.mark.parametrize("shape", [(1, 7, 3), (50, 7, 3), (13, 15, 7),
+                                       (200, 10, 2)],
+                             ids=["one-window", "odd-Ln", "wide", "many"])
+    def test_equals_per_window_norm_exactly(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        true = rng.normal(size=shape) * 30.0
+        est = true + rng.normal(size=shape)
+        ranges = rng.uniform(0.5, 40.0, size=shape[-1])
+        got = relative_error(true, est, ranges)
+        assert got.shape == (shape[0],)
+        assert (got == _relative_error_per_window(true, est, ranges)).all()
+
+    def test_zero_range_equals_per_window_norm_exactly(self):
+        rng = np.random.default_rng(7)
+        true = rng.normal(size=(9, 11, 3))
+        est = true + rng.normal(size=(9, 11, 3))
+        ranges = np.array([1.5, 0.0, 4.0])
+        with pytest.warns(UserWarning, match="1 zero-range") as record:
+            got = relative_error(true, est, ranges)
+        assert len(record) == 1
+        assert (got == _relative_error_per_window(true, est, ranges)).all()
+
+    def test_empty_stack(self):
+        r = relative_error(np.zeros((0, 4, 2)), np.zeros((0, 4, 2)), np.ones(2))
+        assert r.shape == (0,)
+
+    def test_shape_validation(self):
+        ones = np.ones(2)
+        with pytest.raises(ShapeError, match="differ"):
+            relative_error(np.zeros((2, 4, 2)), np.zeros((2, 5, 2)), ones)
+        with pytest.raises(ShapeError, match="stacks"):
+            relative_error(np.zeros((4, 2)), np.zeros((4, 2)), ones)
+        with pytest.raises(ShapeError, match="state_range"):
+            relative_error(np.zeros((2, 4, 2)), np.zeros((2, 4, 2)), np.ones(3))
+        with pytest.raises(ShapeError, match="all state dimensions"), \
+                pytest.warns(UserWarning):
+            relative_error(np.zeros((2, 4, 2)), np.zeros((2, 4, 2)), np.zeros(2))
