@@ -81,6 +81,9 @@ def al_iteration(state: ALState, pool_ds: Dataset, test_ds: Dataset,
     ``split_fraction`` is the share of queried points added to the training
     set; it defaults to the current train:(train+calib) ratio so the ratio
     is preserved.  An empty selection is recorded as a no-op iteration.
+    The ``before`` metrics of every round after the first are the previous
+    round's ``after`` metrics, so all rounds of one state take the same
+    ``eps_list``.
     """
     test_scaled = scale(test_ds, state.scaler)
     t_hash = dataset_hash(test_ds)
@@ -89,8 +92,14 @@ def al_iteration(state: ALState, pool_ds: Dataset, test_ds: Dataset,
     elif state.test_hash != t_hash:
         raise ValueError("test set changed between iterations")
 
-    before = full_report(state.monitor, state.calib, state.rule,
-                         test_scaled, eps_list, seed=state.seed)
+    if state.history:
+        # the previous round scored this monitor, calibration and rule on
+        # the same test split with the same seed
+        before_row = state.history[-1]["after"]
+    else:
+        before_row = _metric_row(
+            full_report(state.monitor, state.calib, state.rule, test_scaled,
+                        eps_list, seed=state.seed), eps_list)
     selected = query(state, pool_ds)
 
     if split_fraction is None:
@@ -104,7 +113,7 @@ def al_iteration(state: ALState, pool_ds: Dataset, test_ds: Dataset,
         "split_fraction": float(split_fraction),
         "warm": warm,
         "test_hash": t_hash,
-        "before": _metric_row(before, eps_list),
+        "before": before_row,
     }
 
     if len(selected) == 0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError
@@ -74,8 +75,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.k_folds < 2:
             raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
-        if self.noise_scale < 0:
-            raise ConfigError("noise_scale must be nonnegative")
+        # comparisons with nan are false, so test finiteness first
+        if not math.isfinite(self.noise_scale) or self.noise_scale < 0:
+            raise ConfigError(f"noise_scale must be finite and nonnegative, "
+                              f"got {self.noise_scale}")
         if not self.model.startswith("linear:"):
             from .benchmarks import REGISTRY
             if self.model not in REGISTRY:

@@ -55,6 +55,9 @@ def ncf_classification_batch(likelihoods, labels) -> np.ndarray:
     its label."""
     lik = np.asarray(likelihoods, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    # a nan row passes both comparisons below, so reject it here
+    if not np.isfinite(lik).all():
+        raise InvalidLikelihoods("non-finite likelihoods")
     if (lik.ndim != 2 or (lik < -1e-9).any()
             or (np.abs(lik.sum(axis=1) - 1.0) > 1e-6).any()):
         raise InvalidLikelihoods("not normalized likelihood vectors")

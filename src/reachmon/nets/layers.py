@@ -5,13 +5,16 @@ Convolutions are stride-1 with symmetric zero padding so sequence length is
 preserved (the monitor windows are short, down to two steps).  They run as
 unrolled convolutions (Chellapilla, Puri & Simard, IWFHR 2006): an im2col
 copy of the input windows, one batched matrix product with the filters, and
-a col2im sum for the input gradient.  Both copies are ``kernel`` shifted
-slices of a channel-last buffer, with no index arrays or scatter.  A batch
-of more than ``ROW_BLOCK`` windows (an eval pass over a whole split) is
-unrolled and multiplied ``ROW_BLOCK`` windows at a time, so each block's
-im2col matrix stays in cache; training minibatches and batch-1 verdicts
-fit in one block.  Each layer caches what its backward pass needs;
-gradients accumulate into ``grads`` aligned with ``params``.
+a col2im sum for the input gradient.  The im2col matrix is one gather
+(``take``) from a zero-padded channel-last buffer through an index cached
+per input length; the col2im sum is ``kernel`` shifted-slice adds, with no
+scatter.  A batch of more than ``ROW_BLOCK`` windows (an eval pass over a
+whole split) is unrolled and multiplied ``ROW_BLOCK`` windows at a time, so
+each block's im2col matrix stays in cache; training minibatches and batch-1
+verdicts fit in one block.  Each layer caches what its backward pass needs;
+gradients are written into ``grads`` aligned with ``params``.  Inside a
+:class:`~reachmon.nets.network.Network` both lists hold views of the
+network's flat parameter and gradient buffers.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ def _activate(z, kind):
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "leaky_relu":
-        return np.maximum(z, 0.2 * z)
+        t = 0.2 * z
+        return np.maximum(z, t, out=t)
     if kind == "tanh":
         return np.tanh(z)
     raise ValueError(f"unknown activation {kind!r}")
@@ -44,7 +48,7 @@ def _activate_grad(z, out, kind):
     if kind == "relu":
         return (z > 0.0).astype(z.dtype)
     if kind == "leaky_relu":
-        return np.where(z >= 0.0, 1.0, 0.2).astype(z.dtype, copy=False)
+        return np.maximum(z >= 0.0, 0.2)           # keeps z's memory order
     if kind == "tanh":
         return 1.0 - out * out
     raise ValueError(f"unknown activation {kind!r}")
@@ -65,8 +69,9 @@ class Conv1D(Layer):
     """Stride-1 same-padded 1-D convolution over (batch, channels, length).
 
     ``forward`` copies the input into a zero-padded channel-last buffer
-    ``(B, L + 2p, C)`` and builds the im2col matrix ``(B, L, C * k)`` from
-    ``k`` shifted slices of it, then multiplies by the flattened filters.
+    ``(B, L + 2p, C)`` and builds the im2col matrix ``(B, L, C * k)`` with
+    one ``take`` through an ``(L, C * k)`` index into each padded row, cached
+    per input length, then multiplies by the flattened filters.
     ``backward`` turns the column gradient back into an input gradient with
     ``k`` shifted-slice adds, taking the kernel taps from last to first.
     Each padded position then sums its contributions in the order an
@@ -100,29 +105,36 @@ class Conv1D(Layer):
         self.activation = activation
         self.params = [self.w, self.b]
         self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
+        self._col_index = {}                       # input length -> (L, C*k)
 
     def _im2col(self, x):
         B, C, L = x.shape
         p, k = self.pad, self.kernel
+        idx = self._col_index.get(L)
+        if idx is None:
+            # column c*k + j of row l reads padded position l + j, channel c
+            idx = ((np.arange(L)[:, None, None] + np.arange(k)) * C
+                   + np.arange(C)[:, None]).reshape(L, C * k)
+            self._col_index[L] = idx
         xp = np.zeros((B, L + 2 * p, C), dtype=x.dtype)
         xp[:, p:p + L, :] = x.transpose(0, 2, 1)
-        cols = np.empty((B, L, C, k), dtype=x.dtype)
-        for j in range(k):
-            cols[..., j] = xp[:, j:j + L, :]
-        return cols.reshape(B, L, C * k)
+        # the explicit row size keeps the reshape valid for B = 0
+        return xp.reshape(B, (L + 2 * p) * C).take(idx, axis=1)
 
     def forward(self, x, train=False, rng=None):
         B, C, L = x.shape
         w2 = self.w.reshape(self.w.shape[0], -1)   # (F, C*k)
         if B <= ROW_BLOCK:
             cols = self._im2col(x)
-            z = cols @ w2.T + self.b               # (B, L, F)
+            z = cols @ w2.T                        # (B, L, F)
         else:
             cols = None                            # backward rebuilds it from x
             z = np.empty((B, L, w2.shape[0]),
                          dtype=np.result_type(x.dtype, w2.dtype, self.b.dtype))
             for s in range(0, B, ROW_BLOCK):
-                z[s:s + ROW_BLOCK] = self._im2col(x[s:s + ROW_BLOCK]) @ w2.T + self.b
+                np.matmul(self._im2col(x[s:s + ROW_BLOCK]), w2.T,
+                          out=z[s:s + ROW_BLOCK])
+        z += self.b
         z = z.transpose(0, 2, 1)                   # (B, F, L)
         out = _activate(z, self.activation)
         self._cache = (x, cols, z, out)
@@ -164,7 +176,8 @@ class Dense(Layer):
         self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
 
     def forward(self, x, train=False, rng=None):
-        z = x @ self.w.T + self.b
+        z = x @ self.w.T
+        z += self.b
         out = _activate(z, self.activation)
         self._cache = (x, z, out)
         return out
@@ -192,7 +205,7 @@ class Dropout(Layer):
             self._mask = None
             return x
         keep = 1.0 - self.rate
-        self._mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
+        self._mask = (rng.random(x.shape) < keep) * (1.0 / keep)
         return x * self._mask
 
     def backward(self, dout):

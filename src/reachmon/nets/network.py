@@ -62,7 +62,15 @@ def validate_netspec(spec: dict):
 
 
 class Network:
-    """Feed-forward network with explicit reverse-mode gradients."""
+    """Feed-forward network with explicit reverse-mode gradients.
+
+    The network owns one flat parameter buffer :attr:`flat_params` and one
+    flat gradient buffer :attr:`flat_grads`, in layer order.  Every layer's
+    ``w``, ``b``, ``params`` and ``grads`` are views into them, so an
+    optimizer updates the whole network through one array, and
+    :meth:`set_weights` writes into the same memory.  Layers without
+    parameters (``flatten``, ``dropout``) own none of it.
+    """
 
     def __init__(self, spec: dict, seed: int = 0, dtype=np.float64):
         validate_netspec(spec)
@@ -91,6 +99,22 @@ class Network:
             elif kind == "flatten":
                 self.layers.append(Flatten())
                 flat = channels * length
+        n = sum(p.size for p in self.params)
+        self.flat_params = np.empty(n, dtype=dtype)
+        self.flat_grads = np.zeros(n, dtype=dtype)
+        start = 0
+        for layer in self.layers:
+            if not layer.params:
+                continue
+            views, grads = [], []
+            for p in layer.params:
+                stop = start + p.size
+                views.append(self.flat_params[start:stop].reshape(p.shape))
+                views[-1][...] = p
+                grads.append(self.flat_grads[start:stop].reshape(p.shape))
+                start = stop
+            layer.w, layer.b = layer.params = views
+            layer.grads = grads
 
     def forward(self, x, train: bool = False, rng=None):
         x = np.asarray(x, dtype=self.dtype)

@@ -20,9 +20,10 @@ from .network import Network
 
 
 def softmax(scores):
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = scores - scores.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def cross_entropy(scores, labels):
@@ -45,23 +46,45 @@ def mse(out, target):
 
 
 class Adam:
+    """Adam over flat parameter buffers, updated in place.
+
+    ``params`` and the ``grads`` handed to :meth:`step` are lists of 1-D
+    arrays, one per network (:attr:`Network.flat_params` and
+    :attr:`Network.flat_grads`).  The moments and two scratch buffers are
+    allocated once, and each step computes ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + ((1-b2)*g)*g`` and ``p -= (lr*mh) / (sqrt(vh) + eps)``
+    with the bias-corrected ``mh`` and ``vh`` operation by operation in
+    that order, so every element rounds as in a per-array update.
+    """
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
 
     def step(self, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m[...] = b1 * m + (1.0 - b1) * g
-            v[...] = b2 * v + (1.0 - b2) * g * g
-            mh = m / (1.0 - b1 ** self.t)
-            vh = v / (1.0 - b2 ** self.t)
-            p -= self.lr * mh / (np.sqrt(vh) + self.eps)
+        b1, b2, lr = self.beta1, self.beta2, self.lr
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for p, g, m, v, (s, u) in zip(self.params, grads, self.m, self.v,
+                                      self._scratch):
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=s)
+            v *= b2
+            np.multiply(1.0 - b2, g, out=s)
+            s *= g
+            v += s
+            np.divide(v, c2, out=s)                # vh
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, c1, out=u)                # mh
+            u *= lr
+            u /= s
+            p -= u
 
 
 @dataclass
@@ -92,6 +115,8 @@ _TRAIN_STREAMS = (0x5348, 0x4452)   # (shuffle, dropout) stream constants
 def fit(nets, step, n, opts: TrainOpts, streams):
     """Adam over the parameters of ``nets`` on shuffled minibatches of rows
     ``range(n)``, with (shuffle, dropout) streams ``(opts.seed, streams[i])``.
+    Each net's flat parameter buffer is updated in place from its flat
+    gradient buffer, which the layers' backward passes fill.
 
     ``step(idx, drop_rng)`` runs one minibatch's forward pass, loss and
     backward pass and returns its mean loss.  Returns the per-epoch,
@@ -99,7 +124,8 @@ def fit(nets, step, n, opts: TrainOpts, streams):
     """
     shuffle_rng = np.random.default_rng([opts.seed, streams[0]])
     drop_rng = np.random.default_rng([opts.seed, streams[1]])
-    adam = Adam([p for net in nets for p in net.params], lr=opts.lr)
+    adam = Adam([net.flat_params for net in nets], lr=opts.lr)
+    grads = [net.flat_grads for net in nets]
     history = []
     for epoch in range(opts.epochs):
         total, count = 0.0, 0
@@ -107,7 +133,7 @@ def fit(nets, step, n, opts: TrainOpts, streams):
         for start in range(0, n, opts.batch_size):
             idx = order[start:start + opts.batch_size]
             loss = step(idx, drop_rng)
-            adam.step([g for net in nets for g in net.grads])
+            adam.step(grads)
             total += loss * len(idx)
             count += len(idx)
         history.append(total / count)

@@ -43,6 +43,14 @@ class TestNcf:
         with pytest.raises(InvalidLikelihoods):
             ncf_classification_batch([[0.3, 0.7]], [2])
 
+    @pytest.mark.parametrize("row", [[np.nan, 0.5], [np.inf, 0.0],
+                                     [0.5, -np.inf]])
+    def test_non_finite_rejected(self, row):
+        # comparisons with nan are false, so a nan row would pass both the
+        # sign and the normalisation check and give a nan score
+        with pytest.raises(InvalidLikelihoods, match="non-finite"):
+            ncf_classification_batch([[0.3, 0.7], row], [0, 1])
+
 
 class TestPValue:
     def test_quarter(self):

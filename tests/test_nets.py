@@ -21,8 +21,8 @@ from reachmon.nets import (
     validate_netspec,
 )
 from reachmon.nets import layers
-from reachmon.nets.layers import ROW_BLOCK, Conv1D
-from reachmon.nets.training import predict_scores, softmax
+from reachmon.nets.layers import ROW_BLOCK, Conv1D, Dropout
+from reachmon.nets.training import Adam, predict_scores, softmax
 
 
 def conv1d_oracle(x, w, b, pad):
@@ -51,7 +51,7 @@ def conv1d_reference(layer, x, dout):
     F = layer.w.shape[0]
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
     idx = np.arange(L)[:, None] + np.arange(k)[None, :]
-    cols = xp[:, :, idx].transpose(0, 2, 1, 3).reshape(B, L, -1)
+    cols = xp[:, :, idx].transpose(0, 2, 1, 3).reshape(B, L, C * k)
     w2 = layer.w.reshape(F, -1)
     z = (cols @ w2.T + layer.b).transpose(0, 2, 1)
     act = layer.activation
@@ -77,6 +77,45 @@ def conv1d_reference(layer, x, dout):
 
 def make_net(spec, seed=0):
     return Network(spec, seed=seed)
+
+
+class PerArrayAdam:
+    """Adam with one update per parameter array in plain expressions: the
+    oracle for the flat in-place update."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m[...] = b1 * m + (1.0 - b1) * g
+            v[...] = b2 * v + (1.0 - b2) * g * g
+            mh = m / (1.0 - b1 ** self.t)
+            vh = v / (1.0 - b2 ** self.t)
+            p -= self.lr * mh / (np.sqrt(vh) + self.eps)
+
+
+def assert_flat_views(net):
+    """Every layer's parameters and gradients are views of the net's flat
+    buffers, laid out in layer order."""
+    start = 0
+    for layer in net.layers:
+        if layer.params:
+            assert layer.params[0] is layer.w and layer.params[1] is layer.b
+        for p, g in zip(layer.params, layer.grads, strict=True):
+            stop = start + p.size
+            assert p.base is net.flat_params and g.base is net.flat_grads
+            assert np.shares_memory(p, net.flat_params[start:stop])
+            assert np.shares_memory(g, net.flat_grads[start:stop])
+            start = stop
+    assert start == net.flat_params.size == net.flat_grads.size
 
 
 class TestForward:
@@ -126,6 +165,37 @@ class TestForward:
         rng = np.random.default_rng(0)
         dropped = net.forward(x, train=True, rng=rng)
         assert not np.array_equal(dropped, x)
+
+    @pytest.mark.parametrize("rate", [0.2, 0.3, 0.5])
+    def test_dropout_mask_matches_parent_formula(self, rate):
+        layer = Dropout(rate)
+        x = np.random.default_rng(1).normal(size=(7, 3, 5))
+        out = layer.forward(x, train=True, rng=np.random.default_rng(9))
+        keep = 1.0 - rate
+        want = (np.random.default_rng(9).random(x.shape) < keep
+                ).astype(x.dtype) / keep
+        assert layer._mask.dtype == want.dtype
+        assert np.array_equal(layer._mask, want)
+        assert np.array_equal(out, x * want)
+
+    def test_leaky_relu_matches_where_form(self):
+        # (B, F, L) view of (B, L, F) memory, as a convolution produces it;
+        # the gradient keeps that order and the np.where values
+        z = np.random.default_rng(2).normal(size=(4, 6, 3)).transpose(0, 2, 1)
+        z[0, 0, :3] = (0.0, -0.0, np.nan)
+        out = layers._activate(z, "leaky_relu")
+        grad = layers._activate_grad(z, out, "leaky_relu")
+        assert np.array_equal(out, np.maximum(z, 0.2 * z), equal_nan=True)
+        assert np.array_equal(grad, np.where(z >= 0.0, 1.0, 0.2))
+        assert out.strides == grad.strides == z.strides
+
+    def test_softmax_matches_parent_formula(self):
+        scores = np.random.default_rng(3).normal(size=(9, 2)) * 30
+        before = scores.copy()
+        z = scores - scores.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        assert np.array_equal(softmax(scores), e / e.sum(axis=1, keepdims=True))
+        assert np.array_equal(scores, before)
 
     def test_netspec_validation(self):
         with pytest.raises(ValueError):
@@ -222,13 +292,15 @@ class TestConv1DBitExact:
         C, F = 6, 5
         # B > ROW_BLOCK runs the row-blocked forward, whose backward
         # rebuilds the im2col matrix from the cached input
-        for B in (1, 64, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7):
-            for L in (1, 2, 6):
-                # channel_last: (B, C, L) views of (B, L, C) memory, as one
-                # conv passes its output and input gradient to the next
-                for channel_last in (False, True):
-                    layer = Conv1D(C, F, kernel, activation, rng, np.float64)
-                    layer.b[...] = rng.normal(size=F)
+        for B in (0, 1, 64, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7):
+            # channel_last: (B, C, L) views of (B, L, C) memory, as one
+            # conv passes its output and input gradient to the next
+            for channel_last in (False, True):
+                layer = Conv1D(C, F, kernel, activation, rng, np.float64)
+                layer.b[...] = rng.normal(size=F)
+                # one instance across lengths: the im2col index is cached
+                # per length, and 6 comes back after 2
+                for L in (6, 2, 6, 1):
                     if channel_last:
                         x = rng.normal(size=(B, L, C)).transpose(0, 2, 1)
                         dout = rng.normal(size=(B, L, F)).transpose(0, 2, 1)
@@ -239,10 +311,12 @@ class TestConv1DBitExact:
                     dx = layer.backward(dout)
                     want = conv1d_reference(layer, x, dout)
                     case = (B, L, channel_last)
+                    assert out.shape == (B, F, L), case
                     assert np.array_equal(out, want[0]), case
                     assert np.array_equal(dx, want[1]), case
                     assert np.array_equal(layer.grads[0], want[2]), case
                     assert np.array_equal(layer.grads[1], want[3]), case
+                assert sorted(layer._col_index) == [1, 2, 6]
 
     @pytest.mark.parametrize("kernel", [1, 5])
     def test_empty_batch(self, kernel):
@@ -502,3 +576,86 @@ class TestCheckpoint:
         save_model(load_model(tmp_path / "a"), tmp_path / "b")
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+
+class TestFlatParameters:
+    def _group(self):
+        return [make_net(build_estimator_spec(2, 3, 4, "desk"), seed=1),
+                make_net(build_classifier_spec(3, 4, "desk"), seed=2)]
+
+    def test_adam_matches_per_array_oracle(self):
+        nets = self._group()
+        oracle_params = [p.copy() for net in nets for p in net.params]
+        oracle = PerArrayAdam(oracle_params, lr=1e-3)
+        adam = Adam([net.flat_params for net in nets], lr=1e-3)
+        rng = np.random.default_rng(5)
+        # zero gradients (v stays 0 until the first nonzero one), ordinary,
+        # tiny and large ones whose squares stay finite
+        scales = [0.0, 0.0, 1.0, 1e-3, 1e100, 0.0, 1.0, 1e-150] * 3 + [1.0]
+        assert len(scales) == 25
+        for scale in scales:
+            grads = []
+            for net in nets:
+                for g in net.grads:
+                    g[...] = rng.normal(size=g.shape) * scale
+                    grads.append(g.copy())
+            adam.step([net.flat_grads for net in nets])
+            oracle.step(grads)
+        params = [p for net in nets for p in net.params]
+        assert len(params) == len(oracle_params) == 14
+        for p, q in zip(params, oracle_params, strict=True):
+            assert np.array_equal(p, q)
+
+    def test_parameterless_layers_own_no_buffer(self):
+        spec = {"input_channels": 2, "input_len": 3,
+                "layers": [{"type": "flatten"}, {"type": "dropout", "rate": 0.1},
+                           {"type": "dense", "width": 4, "activation": "linear"}]}
+        net = make_net(spec)
+        assert net.flat_params.size == 6 * 4 + 4
+        assert_flat_views(net)
+        empty = make_net({"input_channels": 2, "input_len": 3,
+                          "layers": [{"type": "flatten"}]})
+        assert empty.flat_params.size == empty.flat_grads.size == 0
+        assert_flat_views(empty)
+
+    def test_backward_fills_flat_gradients(self):
+        net = make_net(build_classifier_spec(2, 3, "desk"), seed=4)
+        x = np.random.default_rng(0).normal(size=(5, 2, 3))
+        _, dscores = cross_entropy(net.forward(x), np.array([0, 1, 1, 0, 1]))
+        net.backward(dscores)
+        assert np.array_equal(net.flat_grads,
+                              np.concatenate([g.ravel() for g in net.grads]))
+        assert np.array_equal(net.flat_params,
+                              np.concatenate([p.ravel() for p in net.params]))
+
+    def test_views_survive_set_weights(self):
+        net, other = self._group()[0], make_net(
+            build_estimator_spec(2, 3, 4, "desk"), seed=9)
+        net.set_weights(other.get_weights())
+        assert_flat_views(net)
+        assert np.array_equal(net.flat_params, other.flat_params)
+
+    def test_views_survive_load_model(self, tmp_path):
+        nse, nsc = self._group()
+        save_model(MonitorModel(kind="two_step", nets={"nse": nse, "nsc": nsc}),
+                   tmp_path / "ckpt")
+        back = load_model(tmp_path / "ckpt")
+        for name, net in (("nse", nse), ("nsc", nsc)):
+            assert_flat_views(back.nets[name])
+            assert np.array_equal(back.nets[name].flat_params, net.flat_params)
+
+    def test_views_survive_fine_tune_revert(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(120, 1, 2))
+        S = np.tanh(rng.normal(size=(120, 2, 2)))
+        y = (S[:, 0, -1] > 0).astype(int)
+        nse = make_net(build_estimator_spec(1, 2, 2, "desk"), seed=3)
+        nsc = make_net(build_classifier_spec(2, 2, "desk"), seed=4)
+        flat_before = [nse.flat_params.copy(), nsc.flat_params.copy()]
+        with np.errstate(all="ignore"):
+            info = fine_tune(nse, nsc, X * 1e200, S, y,
+                             TrainOpts(lr=1e120, epochs=3, seed=0))
+        assert info["reverted"]
+        for net, want in zip((nse, nsc), flat_before):
+            assert_flat_views(net)
+            assert np.array_equal(net.flat_params, want)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import write_linear_file
 
-from reachmon import cli, pipeline
+from reachmon import active, cli, pipeline
 from reachmon.config import ExperimentConfig, load_config
 from reachmon.data import scale
 from reachmon.errors import ConfigError
@@ -236,6 +236,87 @@ class TestEmptyTestSplit:
         assert message in capsys.readouterr().err
         report = f"{command.replace('-', '_')}.json"
         assert not (no_test_bundle / "reports" / report).exists()
+
+
+@pytest.fixture(scope="class")
+def sn_bundle(tmp_path_factory):
+    """A sequential two-step sn bundle with a test split."""
+    root = tmp_path_factory.mktemp("sn")
+    conf = root / "small.conf"
+    conf.write_text("epochs_scale = 0.05\nk_folds = 2\npool = 100\n")
+    data, bundle = str(root / "data"), str(root / "bundle")
+    assert cli.main(["gen", "--model", "sn", "--mode", "seq", "--windows", "10",
+                     "--n", "400", "--seed", "3", "--out", data,
+                     "--config", str(conf)]) == cli.EXIT_OK
+    assert cli.main(["train", "--data", data, "--out", bundle,
+                     "--n-train", "200", "--n-calib", "120", "--n-test", "80",
+                     "--config", str(conf)]) == cli.EXIT_OK
+    return root / "bundle"
+
+
+class TestNoiseScale:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_validate_rejects_non_finite(self, value):
+        with pytest.raises(ConfigError, match="noise_scale"):
+            ExperimentConfig(noise_scale=float(value)).validate()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_anomaly_exits_with_config_error(self, sn_bundle, capsys, value):
+        # nan < 0 is false, so a range check alone lets nan through to a
+        # report built from nan observations
+        assert cli.main(["anomaly", "--bundle", str(sn_bundle),
+                         "--noise-scale", value]) == cli.EXIT_CONFIG
+        assert "noise_scale" in capsys.readouterr().err
+        assert not (sn_bundle / "reports" / "anomaly.json").exists()
+        assert not (sn_bundle / "reports" / "anomaly.csv").exists()
+
+
+class TestActiveReusesMetrics:
+    def test_before_is_previous_after(self, tmp_path, monkeypatch):
+        conf = tmp_path / "small.conf"
+        conf.write_text("epochs_scale = 0.05\nk_folds = 2\npool = 100\n"
+                        "iters = 2\n")
+        data, made = str(tmp_path / "data"), tmp_path / "made"
+        common = ["--config", str(conf)]
+        assert cli.main(["gen", "--model", "lalo", "--n", "400", "--seed", "3",
+                         "--out", data, *common]) == cli.EXIT_OK
+        assert cli.main(["train", "--data", data, "--out", str(made),
+                         "--n-train", "200", "--n-calib", "120",
+                         "--n-test", "80", *common]) == cli.EXIT_OK
+        calls = []
+        real_report = active.full_report
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_report(*args, **kwargs)
+
+        monkeypatch.setattr(active, "full_report", counted)
+        real_iteration = pipeline.al_iteration
+
+        def recomputing(state, *args, **kwargs):
+            # an empty history makes the round score its monitor afresh
+            done, state.history = state.history, []
+            state = real_iteration(state, *args, **kwargs)
+            state.history = done + state.history
+            return state
+
+        outputs = {}
+        bundle = tmp_path / "bundle"   # one path: the report records it
+        for name, iteration in (("reused", real_iteration),
+                                ("recomputed", recomputing)):
+            shutil.rmtree(bundle, ignore_errors=True)
+            shutil.copytree(made, bundle)
+            monkeypatch.setattr(pipeline, "al_iteration", iteration)
+            calls.clear()
+            assert cli.main(["active", "--bundle", str(bundle),
+                             *common]) == cli.EXIT_OK
+            outputs[name] = (len(calls),
+                             (bundle / "reports" / "active.json").read_bytes())
+        history = json.loads(outputs["reused"][1])["history"]
+        assert len(history) == 2 and history[1]["n_selected"] > 0
+        assert history[1]["before"] == history[0]["after"]
+        assert (outputs["reused"][0], outputs["recomputed"][0]) == (3, 4)
+        assert outputs["reused"][1] == outputs["recomputed"][1]
 
 
 class TestGenSeqLen:
