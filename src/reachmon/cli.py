@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import pipeline
-from .config import ExperimentConfig, load_config, normalize_approach, normalize_mode
+from .config import ExperimentConfig, float_list, load_config
 from .errors import (
     ConfigError,
     FilterDiverged,
@@ -34,25 +35,6 @@ EXIT_NUMERIC = 4
 EXIT_INTEGRITY = 5
 
 
-def _base_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
-    return cfg
-
-
-def _apply(cfg, args, mapping):
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
-
-
-def _eps_list(raw):
-    return [float(x) for x in raw.split(",") if x.strip()]
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="reachmon",
                                 description="Predictive safety monitoring "
@@ -65,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--mode", help="ind|seq (default ind)")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, help="default 0")
-    g.add_argument("--windows", type=int, help="windows per trajectory (seq)")
+    g.add_argument("--windows", type=int, dest="windows_per_traj",
+                   metavar="WINDOWS", help="windows per trajectory (seq)")
     g.add_argument("--out", required=True)
     g.add_argument("--config")
 
@@ -82,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="conformal + detection report on a bundle")
     e.add_argument("--bundle", required=True)
-    e.add_argument("--eps", type=_eps_list,
+    e.add_argument("--eps", type=float_list,
                    help="comma-separated list (default 0.05)")
     e.add_argument("--config")
 
@@ -90,48 +73,43 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--bundle", required=True)
     a.add_argument("--pool", type=int, help="default 5000")
     a.add_argument("--iters", type=int, help="default 1")
-    a.add_argument("--eps", type=_eps_list,
+    a.add_argument("--eps", type=float_list,
                    help="comma-separated list (default 0.05)")
-    a.add_argument("--cold", action="store_true", help="retrain from scratch")
+    a.add_argument("--cold", dest="warm", action="store_false", default=None,
+                   help="retrain from scratch")
     a.add_argument("--config")
 
     an = sub.add_parser("anomaly", help="clean vs noise-rescaled evaluation")
     an.add_argument("--bundle", required=True)
     an.add_argument("--noise-scale", type=float, help="default 10")
-    an.add_argument("--eps", type=_eps_list,
+    an.add_argument("--eps", type=float_list,
                     help="comma-separated list (default 0.05)")
     an.add_argument("--config")
 
     c = sub.add_parser("compare-se", help="neural estimator vs UKF")
     c.add_argument("--bundle", required=True)
-    c.add_argument("--n-points", type=int)
+    c.add_argument("--n-points", type=int, dest="n_se_points",
+                   metavar="N_POINTS")
     c.add_argument("--config")
     return p
 
 
 def run(args) -> int:
-    cfg = _base_config(args)
+    cfg = ExperimentConfig()
+    if args.config:
+        cfg = load_config(args.config, cfg)
+    # each flag's dest is the field it sets; a flag not given is None
+    for f in fields(cfg):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            setattr(cfg, f.name, value)
+    cfg.validate()
     cmd = args.command
     if cmd == "gen":
-        cfg = _apply(cfg, args, {"model": "model", "n": "n", "seed": "seed",
-                                 "out": "out", "windows": "windows_per_traj"})
-        if args.mode is not None:
-            cfg.mode = normalize_mode(args.mode)
-        cfg.validate()
-        out = pipeline.cmd_gen(cfg)
-        print(f"dataset written to {out}")
+        print(f"dataset written to {pipeline.cmd_gen(cfg)}")
     elif cmd == "train":
-        cfg = _apply(cfg, args, {"data": "data", "out": "out", "seed": "seed",
-                                 "profile": "profile", "n_train": "n_train",
-                                 "n_calib": "n_calib", "n_test": "n_test"})
-        if args.approach is not None:
-            cfg.approach = normalize_approach(args.approach)
-        cfg.validate()
-        out = pipeline.cmd_train(cfg)
-        print(f"bundle written to {out}")
+        print(f"bundle written to {pipeline.cmd_train(cfg)}")
     elif cmd == "eval":
-        cfg = _apply(cfg, args, {"bundle": "bundle", "eps": "eps"})
-        cfg.validate()
         det = pipeline.cmd_eval(cfg)
         for eps in cfg.eps:
             per = det["per_eps"][float(eps)]
@@ -141,29 +119,18 @@ def run(args) -> int:
                   f"coverage={per['coverage']:.4f} "
                   f"efficiency={per['efficiency']:.4f}")
     elif cmd == "active":
-        cfg = _apply(cfg, args, {"bundle": "bundle", "pool": "pool",
-                                 "iters": "iters", "eps": "eps"})
-        if args.cold:
-            cfg.warm = False
-        cfg.validate()
-        history = pipeline.cmd_active(cfg)
-        for rec in history:
+        for rec in pipeline.cmd_active(cfg):
             print(f"iteration {rec['iteration']}: selected {rec['n_selected']} "
                   f"of {rec['n_pool']}; rejection "
                   f"{rec['before']['rejection_rate']:.4f} -> "
                   f"{rec['after']['rejection_rate']:.4f}")
     elif cmd == "anomaly":
-        cfg = _apply(cfg, args, {"bundle": "bundle", "noise_scale": "noise_scale",
-                                 "eps": "eps"})
-        cfg.validate()
         out = pipeline.cmd_anomaly(cfg)
         for setting in ("clean", "anomaly"):
             det = out[setting]
             print(f"{setting}: accuracy={det['accuracy']:.4f} "
                   f"rejection={det['rejection_rate']:.4f}")
     elif cmd == "compare-se":
-        cfg = _apply(cfg, args, {"bundle": "bundle", "n_points": "n_se_points"})
-        cfg.validate()
         rep = pipeline.cmd_compare_se(cfg)
         print(f"nse rel err {rep['nse_mean']:.4f} +- {rep['nse_std']:.4f}; "
               f"ukf rel err {rep['ukf_mean']:.4f} +- {rep['ukf_std']:.4f}")

@@ -10,6 +10,9 @@ lists are comma-separated.  Example::
     seed = 0
     eps = 0.05, 0.1
 
+Each field's accepted spellings live in :data:`CHOICES` and each numeric
+field's closed range in :data:`RANGES`; :meth:`ExperimentConfig.validate`
+checks ``model`` and ``eps`` itself, and ``warm`` and the paths are free-form.
 Unknown keys, malformed values and out-of-range settings raise
 :class:`ConfigError` so the CLI can exit with its config error code.
 """
@@ -23,11 +26,33 @@ from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError
 
-_APPROACH_ALIASES = {"e2e": "end_to_end", "end-to-end": "end_to_end",
-                     "end_to_end": "end_to_end", "two-step": "two_step",
-                     "two_step": "two_step", "2step": "two_step"}
-_MODE_ALIASES = {"ind": "independent", "independent": "independent",
-                 "seq": "sequential", "sequential": "sequential"}
+# field -> {accepted spelling: canonical value}
+CHOICES = {
+    "mode": {"ind": "independent", "independent": "independent",
+             "seq": "sequential", "sequential": "sequential"},
+    "approach": {"e2e": "end_to_end", "end-to-end": "end_to_end",
+                 "end_to_end": "end_to_end", "two-step": "two_step",
+                 "two_step": "two_step", "2step": "two_step"},
+    "profile": {"desk": "desk", "paper": "paper"},
+}
+
+# field -> (lo, hi), both included; every value must also be finite
+RANGES = {
+    "seed": (0, math.inf),
+    "n": (0, math.inf),
+    "windows_per_traj": (1, math.inf),
+    "seq_len": (0, math.inf),
+    "n_train": (0, math.inf),
+    "n_calib": (0, math.inf),
+    "n_test": (0, math.inf),
+    "pool": (1, math.inf),
+    "iters": (0, math.inf),
+    "split_fraction": (-math.inf, 1.0),   # negative: keep the train:calib ratio
+    "noise_scale": (0.0, math.inf),       # multiplies the observation-noise std
+    "k_folds": (2, math.inf),
+    "epochs_scale": (0.0, math.inf),
+    "n_se_points": (1, math.inf),
+}
 
 
 @dataclass
@@ -47,8 +72,8 @@ class ExperimentConfig:
     pool: int = 5000
     iters: int = 1
     warm: bool = True
-    split_fraction: float = -1.0   # <0: preserve current ratio
-    noise_scale: float = 10.0  # multiplies the observation-noise std
+    split_fraction: float = -1.0
+    noise_scale: float = 10.0
     k_folds: int = 5
     epochs_scale: float = 1.0
     n_se_points: int = 200
@@ -57,28 +82,26 @@ class ExperimentConfig:
     out: str = ""
 
     def validate(self):
-        if self.mode not in _MODE_ALIASES.values():
-            raise ConfigError(f"mode must be independent|sequential, got {self.mode!r}")
-        if self.approach not in _APPROACH_ALIASES.values():
-            raise ConfigError(f"approach must be end_to_end|two_step, got {self.approach!r}")
-        if self.profile not in ("desk", "paper"):
-            raise ConfigError(f"profile must be desk|paper, got {self.profile!r}")
+        """Check every field against the tables and canonicalise each
+        choice in place; returns ``self``."""
+        for key, spellings in CHOICES.items():
+            value = getattr(self, key)
+            if value not in spellings:
+                raise ConfigError(f"{key} must be one of "
+                                  f"{'|'.join(spellings)}, got {value!r}")
+            setattr(self, key, spellings[value])
+        for key, (lo, hi) in RANGES.items():
+            value = getattr(self, key)
+            # nan fails every comparison; abs() < inf rejects +-inf without
+            # the float conversion that overflows on a huge int
+            if not (lo <= value <= hi and abs(value) < math.inf):
+                raise ConfigError(f"{key} must be finite and in [{lo}, {hi}], "
+                                  f"got {value!r}")
+        if not self.eps:
+            raise ConfigError("eps must list at least one value")
         for e in self.eps:
             if not 0.0 < e < 1.0:
                 raise ConfigError(f"eps values must lie in (0, 1), got {e}")
-        for key in ("n", "n_train", "n_calib", "n_test", "iters", "k_folds",
-                    "seq_len"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be nonnegative")
-        for key in ("windows_per_traj", "pool", "n_se_points"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.k_folds < 2:
-            raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
-        # comparisons with nan are false, so test finiteness first
-        if not math.isfinite(self.noise_scale) or self.noise_scale < 0:
-            raise ConfigError(f"noise_scale must be finite and nonnegative, "
-                              f"got {self.noise_scale}")
         if not self.model.startswith("linear:"):
             from .benchmarks import REGISTRY
             if self.model not in REGISTRY:
@@ -90,28 +113,24 @@ class ExperimentConfig:
         return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
+def float_list(raw: str) -> list:
+    """A comma-separated list of floats; blank items are skipped."""
+    return [float(x) for x in raw.split(",") if x.strip()]
+
+
 _BOOL = {"true": True, "1": True, "yes": True, "on": True,
          "false": False, "0": False, "no": False, "off": False}
+_PARSE = {bool: lambda raw: _BOOL[raw.lower()], list: float_list}
 
 
 def _coerce(key, raw, target):
-    raw = raw.strip()
+    """Parse ``raw`` by the type of the field's default ``target``."""
+    parse = _PARSE.get(type(target), type(target))
     try:
-        if isinstance(target, bool):
-            if raw.lower() not in _BOOL:
-                raise ValueError(raw)
-            return _BOOL[raw.lower()]
-        if isinstance(target, int):
-            return int(raw)
-        if isinstance(target, float):
-            return float(raw)
-        if isinstance(target, list):
-            items = [x.strip() for x in raw.split(",") if x.strip()]
-            elem = target[0] if target else 0.0
-            return [type(elem)(x) for x in items]
-        return raw
-    except ValueError:
-        raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
+        return parse(raw.strip())
+    except (KeyError, ValueError):
+        raise ConfigError(f"cannot parse value {raw.strip()!r} for key "
+                          f"{key!r}") from None
 
 
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -131,12 +150,7 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         key = key.strip()
         if not hasattr(defaults, key):
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        value = _coerce(key, raw, getattr(defaults, key))
-        if key == "approach":
-            value = _APPROACH_ALIASES.get(value, value)
-        if key == "mode":
-            value = _MODE_ALIASES.get(value, value)
-        setattr(cfg, key, value)
+        setattr(cfg, key, _coerce(key, raw, getattr(defaults, key)))
     return cfg.validate()
 
 
@@ -147,15 +161,3 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text, base)
-
-
-def normalize_approach(value: str) -> str:
-    if value not in _APPROACH_ALIASES:
-        raise ConfigError(f"approach must be one of {sorted(_APPROACH_ALIASES)}")
-    return _APPROACH_ALIASES[value]
-
-
-def normalize_mode(value: str) -> str:
-    if value not in _MODE_ALIASES:
-        raise ConfigError(f"mode must be one of {sorted(_MODE_ALIASES)}")
-    return _MODE_ALIASES[value]

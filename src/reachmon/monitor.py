@@ -22,7 +22,11 @@ from .nets import (
 )
 
 APPROACHES = ("end_to_end", "two_step")
-PROFILES = ("desk", "paper")
+
+# profile -> (learning rate, epochs) of the classifier, estimator and
+# fine-tuning stages
+_SCHEDULES = {"desk": ((1e-3, 60), (1e-3, 40), (1e-4, 15)),
+              "paper": ((1e-5, 200), (1e-6, 200), (1e-7, 100))}
 
 
 @dataclass
@@ -37,27 +41,11 @@ class TrainSchedule:
     @classmethod
     def for_profile(cls, profile: str, seed: int = 0,
                     epochs_scale: float = 1.0) -> "TrainSchedule":
-        if profile == "paper":
-            return cls(
-                profile=profile,
-                classifier=TrainOpts(lr=1e-5, epochs=int(200 * epochs_scale),
-                                     batch_size=64, seed=seed),
-                estimator=TrainOpts(lr=1e-6, epochs=int(200 * epochs_scale),
-                                    batch_size=64, seed=seed),
-                finetune=TrainOpts(lr=1e-7, epochs=int(100 * epochs_scale),
-                                   batch_size=64, seed=seed),
-            )
-        if profile == "desk":
-            return cls(
-                profile=profile,
-                classifier=TrainOpts(lr=1e-3, epochs=int(60 * epochs_scale),
-                                     batch_size=64, seed=seed),
-                estimator=TrainOpts(lr=1e-3, epochs=int(40 * epochs_scale),
-                                    batch_size=64, seed=seed),
-                finetune=TrainOpts(lr=1e-4, epochs=int(15 * epochs_scale),
-                                   batch_size=64, seed=seed),
-            )
-        raise ValueError(f"unknown profile {profile!r}")
+        if profile not in _SCHEDULES:
+            raise ValueError(f"unknown profile {profile!r}")
+        return cls(profile, *(TrainOpts(lr=lr, epochs=int(epochs * epochs_scale),
+                                        batch_size=64, seed=seed)
+                              for lr, epochs in _SCHEDULES[profile]))
 
 
 def obs_windows(ds: Dataset) -> np.ndarray:

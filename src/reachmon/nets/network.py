@@ -150,21 +150,27 @@ class Network:
             p[...] = w
 
 
+# profile -> (conv layers, filters per conv, width of the hidden dense layer)
+_ARCHITECTURES = {"desk": (2, 32, 64), "paper": (4, 128, 100)}
+
+
+def _conv_stack(profile: str, kernel: int) -> list:
+    """The profile's leaky-relu convolutions, each followed by dropout."""
+    if profile not in _ARCHITECTURES:
+        raise ValueError(f"unknown profile {profile!r}")
+    convs, filters, _ = _ARCHITECTURES[profile]
+    return [layer for _ in range(convs) for layer in (
+        {"type": "conv", "filters": filters, "kernel": kernel,
+         "activation": "leaky_relu"},
+        {"type": "dropout", "rate": 0.2})]
+
+
 def build_classifier_spec(in_channels: int, length: int, profile: str = "desk") -> dict:
     """Safety-label classifier over a window of ``in_channels`` x ``length``."""
-    if profile == "paper":
-        convs, filters, kernel, dense_width = 4, 128, 3, 100
-    elif profile == "desk":
-        convs, filters, kernel, dense_width = 2, 32, 3, 64
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
-    layers = []
-    for _ in range(convs):
-        layers.append({"type": "conv", "filters": filters, "kernel": kernel,
-                       "activation": "leaky_relu"})
-        layers.append({"type": "dropout", "rate": 0.2})
+    layers = _conv_stack(profile, kernel=3)
     layers.append({"type": "flatten"})
-    layers.append({"type": "dense", "width": dense_width, "activation": "leaky_relu"})
+    layers.append({"type": "dense", "width": _ARCHITECTURES[profile][2],
+                   "activation": "leaky_relu"})
     # Nonnegative two-output head; small positive bias keeps both score
     # channels initially active under the relu clamp.
     layers.append({"type": "dense", "width": 2, "activation": "relu",
@@ -175,17 +181,8 @@ def build_classifier_spec(in_channels: int, length: int, profile: str = "desk") 
 def build_estimator_spec(in_channels: int, out_channels: int, length: int,
                          profile: str = "desk") -> dict:
     """State-sequence regressor (observation window -> state window)."""
-    if profile == "paper":
-        convs, filters, kernel = 4, 128, 5
-    elif profile == "desk":
-        convs, filters, kernel = 2, 32, 5
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
-    layers = []
-    for _ in range(convs):
-        layers.append({"type": "conv", "filters": filters, "kernel": kernel,
-                       "activation": "leaky_relu"})
-        layers.append({"type": "dropout", "rate": 0.2})
+    kernel = 5
+    layers = _conv_stack(profile, kernel)
     layers.append({"type": "conv", "filters": out_channels, "kernel": kernel,
                    "activation": "tanh"})
     return {"input_channels": in_channels, "input_len": length, "layers": layers}

@@ -65,6 +65,12 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+def _write_report(path, cfg: ExperimentConfig, doc):
+    """``doc`` stamped with the config hash and the code version."""
+    _write_json(path, {"config_hash": cfg.hash(), "code_version": CODE_VERSION,
+                       **doc})
+
+
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -149,13 +155,12 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     save_container(os.path.join(bundle, "calibration"),
                    {"kind": "calibration", "size": calib.size},
                    {"scores": calib.scores})
-    _write_json(os.path.join(bundle, "bundle.json"), {
-        "kind": "bundle", "code_version": CODE_VERSION,
-        "model": cfg.model, "mode": dataset.mode, "approach": cfg.approach,
-        "profile": cfg.profile, "seed": cfg.seed,
+    _write_report(os.path.join(bundle, "bundle.json"), cfg, {
+        "kind": "bundle", "model": cfg.model, "mode": dataset.mode,
+        "approach": cfg.approach, "profile": cfg.profile, "seed": cfg.seed,
         "counts": {"train": train_ds.n, "calib": calib_ds.n, "test": test_ds.n},
         "scaler": scaler.to_dict(), "rule": rule.to_dict(),
-        "config_hash": cfg.hash(), "test_hash": dataset_hash(test_ds),
+        "test_hash": dataset_hash(test_ds),
         "data_path": os.path.abspath(cfg.data),
         "loss_history": monitor.meta.get("loss_history", {}),
     })
@@ -187,24 +192,22 @@ class Bundle:
     def spec(self):
         return get_spec(self.meta["model"])
 
-    def config(self, base: ExperimentConfig | None = None) -> ExperimentConfig:
-        cfg = base or ExperimentConfig()
-        cfg.model = self.meta["model"]
-        cfg.mode = self.meta["mode"]
-        cfg.approach = self.meta["approach"]
-        cfg.profile = self.meta["profile"]
-        cfg.seed = self.meta["seed"]
-        return cfg
+    @classmethod
+    def open(cls, cfg: ExperimentConfig, command: str):
+        """The bundle ``cfg`` names, and a copy of ``cfg`` with the model,
+        mode, approach, profile and seed the bundle was trained with."""
+        if not cfg.bundle:
+            raise ConfigError(f"{command} requires --bundle")
+        b = cls(cfg.bundle)
+        return b, replace(cfg, **{k: b.meta[k] for k in (
+            "model", "mode", "approach", "profile", "seed")})
 
 
 # --- eval ---------------------------------------------------------------------
 
 def cmd_eval(cfg: ExperimentConfig) -> dict:
     """Evaluate a bundle on its test split at the configured epsilons."""
-    if not cfg.bundle:
-        raise ConfigError("eval requires --bundle")
-    b = Bundle(cfg.bundle)
-    cfg = b.config(cfg)
+    b, cfg = Bundle.open(cfg, "eval")
     test_scaled = scale(b.test_ds, b.scaler)
     det = full_report(b.monitor, b.calib, b.rule, test_scaled, cfg.eps,
                       seed=cfg.seed)
@@ -216,8 +219,7 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
              for eps in cfg.eps]
     write_csv(os.path.join(b.path, "reports", "sweep.csv"),
               ["eps", "coverage", "efficiency"], sweep)
-    _write_json(os.path.join(b.path, "reports", "eval.json"), {
-        "config_hash": cfg.hash(), "code_version": CODE_VERSION,
+    _write_report(os.path.join(b.path, "reports", "eval.json"), cfg, {
         "seed": cfg.seed, "metrics": {k: v for k, v in det.items() if k != "_eval"},
         "thetas": det["_eval"]["thetas"],
     })
@@ -228,10 +230,7 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
 
 def cmd_active(cfg: ExperimentConfig) -> list:
     """Run active-learning iterations on a bundle; returns the history."""
-    if not cfg.bundle:
-        raise ConfigError("active requires --bundle")
-    b = Bundle(cfg.bundle)
-    cfg = b.config(cfg)
+    b, cfg = Bundle.open(cfg, "active")
     spec = b.spec
     schedule = TrainSchedule.for_profile(cfg.profile, seed=cfg.seed,
                                          epochs_scale=cfg.epochs_scale)
@@ -255,10 +254,8 @@ def cmd_active(cfg: ExperimentConfig) -> list:
     _write_json(os.path.join(out_dir, "state.json"),
                 {"rule": state.rule.to_dict(), "iterations": state.iteration,
                  "n_train": state.train_ds.n, "n_calib": state.calib_ds.n})
-    _write_json(os.path.join(b.path, "reports", "active.json"), {
-        "config_hash": cfg.hash(), "code_version": CODE_VERSION,
-        "history": state.history,
-    })
+    _write_report(os.path.join(b.path, "reports", "active.json"), cfg,
+                  {"history": state.history})
     rows = []
     for rec in state.history:
         for phase in ("before", "after"):
@@ -299,10 +296,7 @@ def anomalous_copy(ds: Dataset, spec, noise_scale: float) -> Dataset:
 
 def cmd_anomaly(cfg: ExperimentConfig) -> dict:
     """Paired clean / anomalous evaluation under rescaled observation noise."""
-    if not cfg.bundle:
-        raise ConfigError("anomaly requires --bundle")
-    b = Bundle(cfg.bundle)
-    cfg = b.config(cfg)
+    b, cfg = Bundle.open(cfg, "anomaly")
     if b.test_ds.n == 0:
         raise InsufficientData("anomaly needs a bundle with a nonempty test "
                                "split")
@@ -319,8 +313,7 @@ def cmd_anomaly(cfg: ExperimentConfig) -> dict:
                     for eps in cfg.eps)
     write_csv(os.path.join(b.path, "reports", "anomaly.csv"),
               REPORT_COLUMNS, rows)
-    _write_json(os.path.join(b.path, "reports", "anomaly.json"), {
-        "config_hash": cfg.hash(), "code_version": CODE_VERSION,
+    _write_report(os.path.join(b.path, "reports", "anomaly.json"), cfg, {
         "noise_scale": cfg.noise_scale,
         "clean": {k: v for k, v in det_clean.items() if k != "_eval"},
         "anomaly": {k: v for k, v in det_anom.items() if k != "_eval"},
@@ -338,10 +331,7 @@ def cmd_compare_se(cfg: ExperimentConfig) -> dict:
     Each estimator's (N,) errors come from one :func:`relative_error` call
     on the whole stack; the report holds their mean and standard deviation.
     """
-    if not cfg.bundle:
-        raise ConfigError("compare-se requires --bundle")
-    b = Bundle(cfg.bundle)
-    cfg = b.config(cfg)
+    b, cfg = Bundle.open(cfg, "compare-se")
     if b.monitor.kind != "two_step":
         raise ConfigError("compare-se needs a two-step bundle (no estimator "
                           "in an end-to-end monitor)")
@@ -371,15 +361,11 @@ def cmd_compare_se(cfg: ExperimentConfig) -> dict:
     write_csv(os.path.join(b.path, "reports", "compare_se.csv"),
               ["model", "estimator", "rel_err_mean", "rel_err_std", "n",
                "config_hash", "code_version"],
-              [{"model": cfg.model, "estimator": "nse",
-                "rel_err_mean": report["nse_mean"], "rel_err_std": report["nse_std"],
-                "n": n_points, "config_hash": cfg.hash(),
-                "code_version": CODE_VERSION},
-               {"model": cfg.model, "estimator": "ukf",
-                "rel_err_mean": report["ukf_mean"], "rel_err_std": report["ukf_std"],
-                "n": n_points, "config_hash": cfg.hash(),
-                "code_version": CODE_VERSION}])
-    _write_json(os.path.join(b.path, "reports", "compare_se.json"),
-                {"config_hash": cfg.hash(), "code_version": CODE_VERSION,
-                 **report})
+              [{"model": cfg.model, "estimator": name,
+                "rel_err_mean": report[f"{name}_mean"],
+                "rel_err_std": report[f"{name}_std"], "n": n_points,
+                "config_hash": cfg.hash(), "code_version": CODE_VERSION}
+               for name in ("nse", "ukf")])
+    _write_report(os.path.join(b.path, "reports", "compare_se.json"), cfg,
+                  report)
     return report

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 
@@ -8,7 +10,7 @@ import pytest
 from conftest import write_linear_file
 
 from reachmon import active, cli, pipeline
-from reachmon.config import ExperimentConfig, load_config
+from reachmon.config import CHOICES, RANGES, ExperimentConfig, load_config
 from reachmon.data import scale
 from reachmon.errors import ConfigError
 from reachmon.evaluate import calibration_scores
@@ -269,6 +271,102 @@ class TestNoiseScale:
         assert "noise_scale" in capsys.readouterr().err
         assert not (sn_bundle / "reports" / "anomaly.json").exists()
         assert not (sn_bundle / "reports" / "anomaly.csv").exists()
+
+
+# fields checked by ``validate`` itself, outside the CHOICES and RANGES tables
+FREE_FORM = {"model", "eps", "warm", "data", "bundle", "out"}
+
+
+def _out_of_range(key):
+    lo, hi = RANGES[key]
+    return lo - 1 if math.isfinite(lo) else hi + 1
+
+
+class TestFieldTable:
+    def test_every_field_is_validated(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        tables = [set(CHOICES), set(RANGES), FREE_FORM]
+        assert set.union(*tables) == names
+        assert sum(map(len, tables)) == len(names)   # no field in two
+
+    def test_choices_are_canonicalised(self):
+        cfg = ExperimentConfig(mode="seq", approach="e2e").validate()
+        assert (cfg.mode, cfg.approach) == ("sequential", "end_to_end")
+        assert cfg.hash() == ExperimentConfig(
+            mode="sequential", approach="end_to_end").hash()
+        with pytest.raises(ConfigError, match="profile"):
+            ExperimentConfig(profile="lab").validate()
+
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key in RANGES
+        for value in ("nan", "inf", repr(_out_of_range(key)))])
+    def test_config_file_value_exits_with_config_error(self, tmp_path, capsys,
+                                                       key, value):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"{key} = {value}\n")
+        data = tmp_path / "data"
+        assert cli.main(["gen", "--model", "ip", "--n", "10", "--config",
+                         str(conf), "--out", str(data)]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not data.exists()
+
+    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--config", "seed.conf"]],
+                             ids=["flag", "config"])
+    def test_negative_seed_exits_with_config_error(self, tmp_path, monkeypatch,
+                                                   capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "seed.conf").write_text("seed = -3\n")
+        assert cli.main(["gen", "--model", "ip", "--n", "10", *argv,
+                         "--out", "data"]) == cli.EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+
+@pytest.fixture(scope="class")
+def ip_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("ip") / "data"
+    assert cli.main(["gen", "--model", "ip", "--n", "300",
+                     "--out", str(data)]) == cli.EXIT_OK
+    return data
+
+
+class TestDefect8:
+    # these values passed validate and ended the command in an uncaught
+    # ValueError from int() of a nan or a negative epoch count
+    @pytest.mark.parametrize("line", ["epochs_scale = nan", "epochs_scale = -1"])
+    def test_train_exits_with_config_error(self, ip_data, tmp_path, capsys, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"k_folds = 2\n{line}\n")
+        bundle = tmp_path / "b"
+        assert cli.main(["train", "--data", str(ip_data), "--out", str(bundle),
+                         "--n-train", "200", "--n-calib", "80", "--n-test", "20",
+                         "--config", str(conf)]) == cli.EXIT_CONFIG
+        assert "epochs_scale" in capsys.readouterr().err
+        assert not bundle.exists()
+
+    @pytest.mark.parametrize("line, key", [("split_fraction = nan", "split_fraction"),
+                                           ("epochs_scale = nan", "epochs_scale")])
+    def test_active_exits_with_config_error(self, sn_bundle, tmp_path, capsys,
+                                            line, key):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"pool = 100\n{line}\n")
+        assert cli.main(["active", "--bundle", str(sn_bundle),
+                         "--config", str(conf)]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (sn_bundle / "active").exists()
+        assert not (sn_bundle / "reports" / "active.json").exists()
+
+    @pytest.mark.parametrize("argv", [["--eps", ","], ["--config", "eps.conf"]],
+                             ids=["flag", "config"])
+    def test_empty_eps_list_exits_with_config_error(self, sn_bundle, tmp_path,
+                                                    monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "eps.conf").write_text("eps =\n")
+        assert cli.main(["eval", "--bundle", str(sn_bundle),
+                         *argv]) == cli.EXIT_CONFIG
+        assert "eps" in capsys.readouterr().err
+        for report in ("eval.csv", "sweep.csv", "eval.json"):
+            assert not (sn_bundle / "reports" / report).exists()
 
 
 class TestActiveReusesMetrics:
