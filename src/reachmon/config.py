@@ -99,6 +99,8 @@ class ExperimentConfig:
                                   f"got {value!r}")
         if not self.eps:
             raise ConfigError("eps must list at least one value")
+        if len(set(self.eps)) != len(self.eps):
+            raise ConfigError(f"eps values must not repeat, got {self.eps}")
         for e in self.eps:
             if not 0.0 < e < 1.0:
                 raise ConfigError(f"eps values must lie in (0, 1), got {e}")

@@ -7,8 +7,9 @@ test score to produce smoothed p-values
 
 with a single tie-breaking ``theta`` drawn per test point and shared across
 the candidate labels, which makes credibility exactly the p-value of the
-predicted class.  Prediction regions keep the labels whose p-value exceeds
-the significance level.
+predicted class.  The prediction regions of N test points at significance
+``eps`` are one (N, K) boolean mask, ``p_values > eps``: row i marks the
+labels whose p-value exceeds ``eps``.
 """
 
 from __future__ import annotations
@@ -35,19 +36,6 @@ class CalibrationSet:
     @property
     def size(self):
         return int(self.scores.size)
-
-
-@dataclass(frozen=True)
-class ClassRegion:
-    """Classification prediction region: a subset of {0, 1}."""
-
-    labels: frozenset
-
-    def __contains__(self, label):
-        return label in self.labels
-
-    def __len__(self):
-        return len(self.labels)
 
 
 def ncf_classification_batch(likelihoods, labels) -> np.ndarray:
@@ -77,10 +65,10 @@ def p_values_batch(calib: CalibrationSet, alpha_stars, thetas) -> np.ndarray:
     return (n_gt + t * (n_eq + 1)) / (s.size + 1)
 
 
-def classify_region(p0: float, p1: float, eps: float) -> ClassRegion:
-    """Labels whose p-value exceeds the significance level."""
-    return ClassRegion(frozenset(
-        j for j, p in enumerate((p0, p1)) if p > eps))
+def classify_region(p_values, eps: float) -> np.ndarray:
+    """(N, K) region mask of (N, K) p-values: the labels whose p-value
+    exceeds the significance level."""
+    return np.asarray(p_values, dtype=np.float64) > eps
 
 
 def confidence_credibility(p_values) -> np.ndarray:
@@ -100,17 +88,18 @@ def classification_p_values(calib: CalibrationSet, likelihoods,
 
 
 def coverage(regions, truths) -> float:
-    """Fraction of regions containing the true target."""
+    """Fraction of the (N, K) region mask's rows that hold the true label."""
     if len(regions) == 0:
         raise InsufficientData("no regions to score")
     if len(regions) != len(truths):
         raise ShapeError("regions and truths differ in length")
-    return float(np.mean([t in r for r, t in zip(regions, truths)]))
+    return float(np.mean(np.asarray(regions)[np.arange(len(truths)), truths]))
 
 
 def efficiency_classification(regions) -> float:
-    """Fraction of singleton regions (higher is tighter)."""
+    """Fraction of singleton rows of the (N, K) region mask (higher is
+    tighter)."""
     if len(regions) == 0:
         raise InsufficientData("no regions to score")
-    return float(np.mean([len(r) == 1 for r in regions]))
+    return float(np.mean(np.sum(regions, axis=1) == 1))
 

@@ -55,14 +55,10 @@ class Scaler:
         return cls(**{k: np.asarray(d[k], dtype=np.float64) for k in d})
 
     @classmethod
-    def placeholder(cls, state_dim, obs_dim):
-        return cls(-np.ones(state_dim), np.ones(state_dim),
-                   -np.ones(obs_dim), np.ones(obs_dim))
-
-    @classmethod
     def fit(cls, dataset: "Dataset") -> "Scaler":
-        if dataset.n == 0:
-            return cls.placeholder(dataset.state_dim, dataset.obs_dim)
+        if dataset.n == 0:   # the identity on [-1, 1]
+            s, y = np.ones(dataset.state_dim), np.ones(dataset.obs_dim)
+            return cls(-s, s, -y, y)
         s = dataset.states.reshape(-1, dataset.state_dim).astype(np.float64)
         y = dataset.obs.reshape(-1, dataset.obs_dim).astype(np.float64)
         return cls(s.min(axis=0), s.max(axis=0), y.min(axis=0), y.max(axis=0))
@@ -159,20 +155,6 @@ class Dataset:
             modes=np.concatenate([self.modes, other.modes]),
             traj_ids=np.concatenate([self.traj_ids, other.traj_ids]),
         )
-
-
-def _empty_dataset(spec: HybridSystemSpec, mode: str, seed: int) -> Dataset:
-    L = spec.window_len
-    return Dataset(
-        model_name=spec.name, mode=mode,
-        obs=np.zeros((0, L, spec.obs_dim), dtype=np.float32),
-        states=np.zeros((0, L, spec.state_dim), dtype=np.float32),
-        labels=np.zeros(0, dtype=np.uint8),
-        modes=np.zeros((0, L), dtype=np.int32),
-        traj_ids=np.zeros(0, dtype=np.int32),
-        seed=seed, scaled=False,
-        scaler=Scaler.placeholder(spec.state_dim, spec.obs_dim),
-    )
 
 
 def _simulate_tolerant(spec, V0, Q0, n_steps):
@@ -297,8 +279,6 @@ def gen_independent(spec: HybridSystemSpec, n: int, seq_len: int = SEQUENCE_LEN,
     """
     if seq_len < spec.window_len:
         raise ValueError(f"seq_len must be >= H_p+1 = {spec.window_len}")
-    if n == 0:
-        return _empty_dataset(spec, "independent", seed)
     return _generate(spec, "independent", seed, n, seq_len, spec.window_len, 1)
 
 
@@ -317,8 +297,6 @@ def gen_sequential(spec: HybridSystemSpec, n_init: int, windows_per_traj: int,
         raise ValueError("windows_per_traj must be >= 1")
     if seq_len < spec.window_len:
         raise ValueError(f"seq_len must be >= H_p+1 = {spec.window_len}")
-    if n_init == 0:
-        return _empty_dataset(spec, "sequential", seed)
     traj_len = windows_per_traj - 1 + seq_len
     return _generate(spec, "sequential", seed, n_init, traj_len, traj_len,
                      windows_per_traj)

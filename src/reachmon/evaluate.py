@@ -70,7 +70,7 @@ def cp_evaluate(model, calib: CalibrationSet, ds_scaled: Dataset,
     per_eps = {}
     truths = ds_scaled.labels.astype(np.int64)
     for eps in eps_list:
-        regions = [classify_region(p0, p1, eps) for p0, p1 in pv]
+        regions = classify_region(pv, eps)
         per_eps[float(eps)] = {
             "coverage": coverage(regions, truths),
             "efficiency": efficiency_classification(regions),
@@ -87,7 +87,6 @@ def full_report(model, calib: CalibrationSet, rule: RejectionRule,
     rejected = reject_batch(rule, ev["features"])
     det = detection_metrics(ev["labels"], test_scaled.labels, rejected)
     det["per_eps"] = ev["per_eps"]
-    det["_eval"] = ev
     return det
 
 

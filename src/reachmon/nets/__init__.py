@@ -1,4 +1,4 @@
-from .network import Network, build_classifier_spec, build_estimator_spec, validate_netspec
+from .network import Network, build_classifier_spec, build_estimator_spec
 from .training import (
     MonitorModel,
     TrainOpts,
@@ -16,7 +16,7 @@ from .training import (
 
 __all__ = [
     "Network", "build_classifier_spec", "build_estimator_spec",
-    "validate_netspec", "MonitorModel", "TrainOpts", "classifier_step",
+    "MonitorModel", "TrainOpts", "classifier_step",
     "cross_entropy", "fine_tune", "fit", "load_model", "mse", "predict",
     "save_model", "train_classifier", "train_estimator",
 ]

@@ -28,39 +28,6 @@ from .layers import Conv1D, Dense, Dropout, Flatten
 _ACTIVATIONS = ("linear", "relu", "leaky_relu", "tanh")
 
 
-def validate_netspec(spec: dict):
-    """Check layer chaining and parameter ranges; raises ``ValueError``."""
-    if "input_channels" not in spec or "input_len" not in spec:
-        raise ValueError("netspec needs input_channels and input_len")
-    shape = ("seq", spec["input_channels"], spec["input_len"])
-    for i, layer in enumerate(spec["layers"]):
-        kind = layer.get("type")
-        if kind == "conv":
-            if shape[0] != "seq":
-                raise ValueError(f"layer {i}: conv after flatten")
-            if layer["kernel"] % 2 == 0 or layer["kernel"] < 1:
-                raise ValueError(f"layer {i}: kernel must be odd and positive")
-            if layer.get("activation", "linear") not in _ACTIVATIONS:
-                raise ValueError(f"layer {i}: unknown activation")
-            shape = ("seq", layer["filters"], shape[2])
-        elif kind == "dense":
-            if shape[0] != "flat":
-                raise ValueError(f"layer {i}: dense requires flattened input")
-            if layer.get("activation", "linear") not in _ACTIVATIONS:
-                raise ValueError(f"layer {i}: unknown activation")
-            shape = ("flat", layer["width"])
-        elif kind == "dropout":
-            if not 0.0 <= layer["rate"] < 1.0:
-                raise ValueError(f"layer {i}: dropout rate must be in [0, 1)")
-        elif kind == "flatten":
-            if shape[0] != "seq":
-                raise ValueError(f"layer {i}: flatten after flatten")
-            shape = ("flat", shape[1] * shape[2])
-        else:
-            raise ValueError(f"layer {i}: unknown layer type {kind!r}")
-    return shape
-
-
 class Network:
     """Feed-forward network with explicit reverse-mode gradients.
 
@@ -73,32 +40,46 @@ class Network:
     """
 
     def __init__(self, spec: dict, seed: int = 0, dtype=np.float64):
-        validate_netspec(spec)
+        """Layers of ``spec``; a spec whose layers do not chain or whose
+        parameters are out of range raises ``ValueError``."""
+        if "input_channels" not in spec or "input_len" not in spec:
+            raise ValueError("netspec needs input_channels and input_len")
         self.spec = spec
         self.dtype = dtype
         rng = np.random.default_rng([seed, 0x4E45])
         self.layers = []
         channels, length = spec["input_channels"], spec["input_len"]
-        flat = None
-        for layer in spec["layers"]:
-            kind = layer["type"]
+        flat = None   # the width once flattened
+        for i, layer in enumerate(spec["layers"]):
+            kind = layer.get("type")
+            activation = layer.get("activation", "linear")
+            if kind in ("conv", "flatten") and flat is not None:
+                raise ValueError(f"layer {i}: {kind} after flatten")
+            if kind in ("conv", "dense") and activation not in _ACTIVATIONS:
+                raise ValueError(f"layer {i}: unknown activation")
             if kind == "conv":
+                if layer["kernel"] % 2 == 0 or layer["kernel"] < 1:
+                    raise ValueError(f"layer {i}: kernel must be odd and positive")
                 self.layers.append(Conv1D(channels, layer["filters"],
-                                          layer["kernel"],
-                                          layer.get("activation", "linear"),
-                                          rng, dtype))
+                                          layer["kernel"], activation, rng,
+                                          dtype))
                 channels = layer["filters"]
             elif kind == "dense":
-                self.layers.append(Dense(flat, layer["width"],
-                                         layer.get("activation", "linear"),
+                if flat is None:
+                    raise ValueError(f"layer {i}: dense requires flattened input")
+                self.layers.append(Dense(flat, layer["width"], activation,
                                          rng, dtype,
                                          bias_init=layer.get("bias_init", 0.0)))
                 flat = layer["width"]
             elif kind == "dropout":
+                if not 0.0 <= layer["rate"] < 1.0:
+                    raise ValueError(f"layer {i}: dropout rate must be in [0, 1)")
                 self.layers.append(Dropout(layer["rate"]))
             elif kind == "flatten":
                 self.layers.append(Flatten())
                 flat = channels * length
+            else:
+                raise ValueError(f"layer {i}: unknown layer type {kind!r}")
         n = sum(p.size for p in self.params)
         self.flat_params = np.empty(n, dtype=dtype)
         self.flat_grads = np.zeros(n, dtype=dtype)

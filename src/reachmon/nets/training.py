@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import NumericalError, ShapeError
+from ..errors import IntegrityError, NumericalError, ShapeError
 from ..storage import load_container, save_container
 from .network import Network
 
@@ -268,18 +268,23 @@ def save_model(model: MonitorModel, path):
 
 
 def load_model(path) -> MonitorModel:
+    """The saved monitor.  A netspec that :class:`Network` rejects, or weight
+    arrays other than exactly the netspecs' parameters (one missing, one
+    extra, one of another shape), raise ``IntegrityError``."""
     meta, arrays = load_container(path)
     if meta.get("kind") != "checkpoint":
         raise ShapeError(f"{path} is not a checkpoint container")
-    nets = {}
+    nets, expected = {}, set()
     for name, spec in meta["netspecs"].items():
-        net = Network(spec, seed=0)
-        weights = []
-        i = 0
-        while f"w_{name}_{i}" in arrays:
-            weights.append(arrays[f"w_{name}_{i}"].astype(net.dtype))
-            i += 1
-        net.set_weights(weights)
-        nets[name] = net
+        try:
+            net = nets[name] = Network(spec, seed=0)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IntegrityError(f"{path}: netspec {name!r}: {exc}") from None
+        expected |= {(f"w_{name}_{i}", p.shape) for i, p in enumerate(net.params)}
+    bad = sorted(expected ^ {(k, a.shape) for k, a in arrays.items()})
+    if bad:
+        raise IntegrityError(f"{path}: arrays {bad} do not match the netspecs")
+    for name, net in nets.items():
+        net.set_weights([arrays[f"w_{name}_{i}"] for i in range(len(net.params))])
     return MonitorModel(kind=meta["monitor_kind"], nets=nets,
                         meta=meta["train_meta"])

@@ -28,6 +28,7 @@ from .evaluate import (
     RULE_STREAM,
     calibration_scores,
     dataset_hash,
+    draw_thetas,
     full_report,
     rule_from_monitor,
 )
@@ -220,8 +221,8 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     write_csv(os.path.join(b.path, "reports", "sweep.csv"),
               ["eps", "coverage", "efficiency"], sweep)
     _write_report(os.path.join(b.path, "reports", "eval.json"), cfg, {
-        "seed": cfg.seed, "metrics": {k: v for k, v in det.items() if k != "_eval"},
-        "thetas": det["_eval"]["thetas"],
+        "seed": cfg.seed, "metrics": det,
+        "thetas": draw_thetas(cfg.seed, test_scaled.n),
     })
     return det
 
@@ -315,8 +316,7 @@ def cmd_anomaly(cfg: ExperimentConfig) -> dict:
               REPORT_COLUMNS, rows)
     _write_report(os.path.join(b.path, "reports", "anomaly.json"), cfg, {
         "noise_scale": cfg.noise_scale,
-        "clean": {k: v for k, v in det_clean.items() if k != "_eval"},
-        "anomaly": {k: v for k, v in det_anom.items() if k != "_eval"},
+        "clean": det_clean, "anomaly": det_anom,
     })
     return {"clean": det_clean, "anomaly": det_anom}
 

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachmon import evaluate
 from reachmon.conformal import (
     CalibrationSet,
     classification_p_values,
@@ -103,21 +106,45 @@ class TestPValue:
         assert min(n_eq) >= 1
 
 
+def frozenset_regions(p_values, eps):
+    """Reference regions: one frozenset of labels per window."""
+    return [frozenset(j for j, p in enumerate(row) if p > eps)
+            for row in p_values]
+
+
 class TestRegions:
     def test_classification_cases(self):
-        assert classify_region(0.8, 0.1, 0.05).labels == {0, 1}
-        assert classify_region(0.8, 0.1, 0.2).labels == {0}
-        assert classify_region(0.8, 0.1, 0.9).labels == set()
+        pv = [[0.8, 0.1]]
+        assert classify_region(pv, 0.05).tolist() == [[True, True]]
+        assert classify_region(pv, 0.2).tolist() == [[True, False]]
+        assert classify_region(pv, 0.9).tolist() == [[False, False]]
 
     def test_nesting_classification(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            p0, p1 = rng.uniform(size=2)
-            prev = {0, 1}
-            for eps in np.linspace(0.01, 0.99, 25):
-                cur = classify_region(p0, p1, eps).labels
-                assert cur <= prev
-                prev = cur
+        pv = np.random.default_rng(3).uniform(size=(200, 2))
+        prev = np.ones(pv.shape, dtype=bool)
+        for eps in np.linspace(0.01, 0.99, 25):
+            cur = classify_region(pv, eps)
+            assert not (cur & ~prev).any()
+            prev = cur
+
+    def test_cp_evaluate_matches_frozenset_regions(self, monkeypatch):
+        # ties p == eps must fall outside the region, at every eps
+        rng = np.random.default_rng(12)
+        eps_list = [0.05, 0.1, 0.25, 0.5]
+        pv = rng.uniform(size=(300, 2))
+        pv[:60] = rng.choice(eps_list, size=(60, 2))
+        truths = rng.integers(0, 2, size=300)
+        monkeypatch.setattr(evaluate, "monitor_predict", lambda model, ds: {
+            "labels": truths, "likelihoods": np.full((300, 2), 0.5)})
+        monkeypatch.setattr(evaluate, "classification_p_values",
+                            lambda calib, lik, thetas: pv)
+        ds = SimpleNamespace(n=300, labels=truths.astype(np.uint8))
+        per_eps = evaluate.cp_evaluate(None, None, ds, eps_list, seed=0)["per_eps"]
+        for eps in eps_list:
+            regions = frozenset_regions(pv, eps)
+            assert per_eps[eps] == {
+                "coverage": float(np.mean([t in r for r, t in zip(regions, truths)])),
+                "efficiency": float(np.mean([len(r) == 1 for r in regions]))}
 
 
 class TestUncertainty:
@@ -144,8 +171,8 @@ class TestUncertainty:
             for eps in np.linspace(gamma, cred, 5, endpoint=False):
                 if eps <= 0 or eps >= 1:
                     continue
-                region = classify_region(p0, p1, eps)
-                assert region.labels == {predicted}
+                region = classify_region([[p0, p1]], eps)
+                assert region.tolist() == [[predicted == 0, predicted == 1]]
 
 
 class TestSharedTheta:
@@ -187,10 +214,10 @@ class TestValidityAndMetrics:
             assert abs(np.mean(covered) - (1 - eps)) < 0.02
 
     def test_metric_extremes(self):
-        full = [classify_region(0.9, 0.9, 0.5) for _ in range(10)]
+        full = classify_region(np.full((10, 2), 0.9), 0.5)
         assert coverage(full, [0, 1] * 5) == 1.0
         assert efficiency_classification(full) == 0.0
-        singles = [classify_region(0.9, 0.1, 0.5) for _ in range(10)]
+        singles = classify_region(np.tile([0.9, 0.1], (10, 1)), 0.5)
         assert coverage(singles, [0] * 10) == 1.0
         assert efficiency_classification(singles) == 1.0
 

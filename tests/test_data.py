@@ -30,7 +30,7 @@ class TestGenIndependent:
     def test_empty(self, ip_spec):
         ds = gen_independent(ip_spec, 0, seed=0)
         assert ds.n == 0
-        assert ds.scaler is not None  # placeholder scaler
+        assert ds.scaler is None  # as for every unscaled dataset
 
     def test_noiseless_obs_equal_map(self):
         twt = get_spec("twt")
@@ -178,10 +178,14 @@ def _ref_sequential(spec, n_init, W, seed):
             "traj_ids": np.repeat(np.arange(n_init, dtype=np.int32), W)}, attempts
 
 
-def _pair(spec, mode, seed):
+def _pair(spec, mode, seed, n=None):
+    """Generated and reference data of ``n`` samples (independent, default
+    40) or of ``n`` trajectories of 5 windows (sequential, default 6)."""
     if mode == "independent":
-        return gen_independent(spec, 40, seed=seed), _ref_independent(spec, 40, seed)
-    return gen_sequential(spec, 6, 5, seed=seed), _ref_sequential(spec, 6, 5, seed)
+        n = 40 if n is None else n
+        return gen_independent(spec, n, seed=seed), _ref_independent(spec, n, seed)
+    n = 6 if n is None else n
+    return gen_sequential(spec, n, 5, seed=seed), _ref_sequential(spec, n, 5, seed)
 
 
 def _assert_same(ds, ref):
@@ -207,6 +211,15 @@ class TestGenBitExact:
     def test_matches_reference(self, model, seed, mode, linear_model):
         spec = get_spec(linear_model if model == "linear" else model)
         ds, (ref, _) = _pair(spec, mode, seed)
+        _assert_same(ds, ref)
+
+    @pytest.mark.parametrize("mode", ["independent", "sequential"])
+    @pytest.mark.parametrize("model", ["ip", "sn", "cvdp", "lalo", "twt", "linear"])
+    def test_empty_matches_reference(self, model, mode, linear_model):
+        # zero rows, with the trailing shapes and dtypes of the reference
+        spec = get_spec(linear_model if model == "linear" else model)
+        ds, (ref, _) = _pair(spec, mode, 0, n=0)
+        assert ds.n == 0
         _assert_same(ds, ref)
 
     @pytest.mark.parametrize("seed", [0, 2 ** 33 + 7])

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reachmon.errors import NumericalError, ShapeError
+from reachmon.errors import IntegrityError, NumericalError, ShapeError
 from reachmon.nets import (
     MonitorModel,
     Network,
@@ -18,11 +18,11 @@ from reachmon.nets import (
     save_model,
     train_classifier,
     train_estimator,
-    validate_netspec,
 )
 from reachmon.nets import layers
 from reachmon.nets.layers import ROW_BLOCK, Conv1D, Dropout
 from reachmon.nets.training import Adam, predict_scores, softmax
+from reachmon.storage import load_container, save_container
 
 
 def conv1d_oracle(x, w, b, pad):
@@ -198,13 +198,27 @@ class TestForward:
         assert np.array_equal(scores, before)
 
     def test_netspec_validation(self):
-        with pytest.raises(ValueError):
-            validate_netspec({"input_channels": 1, "input_len": 4,
-                              "layers": [{"type": "dense", "width": 3,
-                                          "activation": "linear"}]})
-        with pytest.raises(ValueError):
-            validate_netspec({"input_channels": 1, "input_len": 4,
-                              "layers": [{"type": "dropout", "rate": 1.0}]})
+        conv = {"type": "conv", "filters": 2, "kernel": 3}
+        dense = {"type": "dense", "width": 3}
+        flat = {"type": "flatten"}
+        for layers, message in [
+                ([flat, conv], "layer 1: conv after flatten"),
+                ([conv, flat, flat], "layer 2: flatten after flatten"),
+                ([conv, dense], "layer 1: dense requires flattened input"),
+                ([{**conv, "kernel": 2}], "layer 0: kernel must be odd"),
+                ([{**conv, "kernel": -1}], "layer 0: kernel must be odd"),
+                ([{**conv, "activation": "gelu"}], "layer 0: unknown activation"),
+                ([flat, {**dense, "activation": "gelu"}],
+                 "layer 1: unknown activation"),
+                ([{"type": "pool"}], "layer 0: unknown layer type"),
+                ([{"type": "dropout", "rate": 1.0}], "layer 0: dropout rate")]:
+            with pytest.raises(ValueError, match=message):
+                Network({"input_channels": 1, "input_len": 4, "layers": layers})
+        for key in ("input_channels", "input_len"):
+            spec = {"input_channels": 1, "input_len": 4, "layers": [flat, dense]}
+            del spec[key]
+            with pytest.raises(ValueError, match="needs input_channels"):
+                Network(spec)
 
 
 class TestGradients:
@@ -568,6 +582,23 @@ class TestCheckpoint:
         x = np.random.default_rng(0).normal(size=(5, 1, 2))
         assert np.array_equal(predict(model, x)["likelihoods"],
                               predict(back, x)["likelihoods"])
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda meta, arrays: arrays.popitem(),
+        lambda meta, arrays: arrays.update(w_classifier_99=np.zeros(3)),
+        lambda meta, arrays: arrays.update(
+            w_classifier_0=arrays["w_classifier_0"][..., :1]),
+        lambda meta, arrays: meta["netspecs"]["classifier"]["layers"][0].update(
+            kernel=2)], ids=["missing", "extra", "shape", "netspec"])
+    def test_malformed_checkpoint_is_an_integrity_error(self, tmp_path, corrupt):
+        net = make_net(build_classifier_spec(1, 2, "desk"), seed=5)
+        save_model(MonitorModel(kind="end_to_end", nets={"classifier": net}),
+                   tmp_path / "ckpt")
+        meta, arrays = load_container(tmp_path / "ckpt")
+        corrupt(meta, arrays)
+        save_container(tmp_path / "bad", meta, arrays)
+        with pytest.raises(IntegrityError):
+            load_model(tmp_path / "bad")
 
     def test_stored_bytes_stable(self, tmp_path):
         net = make_net(build_classifier_spec(1, 2, "desk"), seed=4)

@@ -321,6 +321,19 @@ class TestFieldTable:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("argv", [["--eps", "0.05,0.1,0.05"],
+                                      ["--config", "eps.conf"]],
+                             ids=["flag", "config"])
+    def test_repeated_eps_exits_with_config_error(self, sn_bundle, tmp_path,
+                                                  monkeypatch, capsys, argv):
+        # a repeated value printed, and wrote, every report row twice
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "eps.conf").write_text("eps = 0.05, 0.05\n")
+        assert cli.main(["eval", "--bundle", str(sn_bundle),
+                         *argv]) == cli.EXIT_CONFIG
+        assert "eps" in capsys.readouterr().err
+        assert not (sn_bundle / "reports").exists()
+
 
 @pytest.fixture(scope="class")
 def ip_data(tmp_path_factory):
@@ -367,6 +380,21 @@ class TestDefect8:
         assert "eps" in capsys.readouterr().err
         for report in ("eval.csv", "sweep.csv", "eval.json"):
             assert not (sn_bundle / "reports" / report).exists()
+
+
+class TestMalformedCheckpoint:
+    def test_eval_exits_with_integrity_error(self, sn_bundle, tmp_path, capsys):
+        # a checkpoint short of one array ended eval in an uncaught
+        # ValueError from zip()
+        bundle = tmp_path / "bundle"
+        shutil.copytree(sn_bundle, bundle)
+        meta_path = bundle / "checkpoint" / "meta.json"
+        doc = json.loads(meta_path.read_text())
+        del doc["arrays"][sorted(doc["arrays"])[-1]]
+        meta_path.write_text(json.dumps(doc))
+        assert cli.main(["eval", "--bundle", str(bundle)]) == cli.EXIT_INTEGRITY
+        assert "do not match the netspecs" in capsys.readouterr().err
+        assert not (bundle / "reports").exists()
 
 
 class TestActiveReusesMetrics:
