@@ -74,13 +74,13 @@ def _metric_row(report: dict, eps_list) -> dict:
 
 
 def al_iteration(state: ALState, pool_ds: Dataset, test_ds: Dataset,
-                 eps_list, split_fraction: float | None = None,
+                 eps_list, split_fraction: float = -1.0,
                  warm: bool = True) -> ALState:
     """One retraining round; returns the advanced state.
 
     ``split_fraction`` is the share of queried points added to the training
-    set; it defaults to the current train:(train+calib) ratio so the ratio
-    is preserved.  An empty selection is recorded as a no-op iteration.
+    set; a negative value, the default, keeps the current train:(train+calib)
+    ratio.  An empty selection is recorded as a no-op iteration.
     The ``before`` metrics of every round after the first are the previous
     round's ``after`` metrics, so all rounds of one state take the same
     ``eps_list``.
@@ -102,7 +102,7 @@ def al_iteration(state: ALState, pool_ds: Dataset, test_ds: Dataset,
                         eps_list, seed=state.seed), eps_list)
     selected = query(state, pool_ds)
 
-    if split_fraction is None:
+    if split_fraction < 0:
         split_fraction = state.train_ds.n / (state.train_ds.n + state.calib_ds.n)
 
     row = {

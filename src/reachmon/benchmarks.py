@@ -119,7 +119,6 @@ def sn_spec() -> HybridSystemSpec:
         init_lo=[-68.5, 0.0], init_hi=[30.0, 25.0],
         drift=drift, control=_no_control, observe_fn=observe_fn,
         jump=jump, unsafe=unsafe, init_mode=_single_mode,
-        params=dict(p),
     )
 
 
@@ -243,7 +242,6 @@ def twt_spec() -> HybridSystemSpec:
         init_lo=[4.5] * 3, init_hi=[5.5] * 3,
         drift=drift, control=_no_control, observe_fn=observe_fn,
         jump=jump, unsafe=unsafe, init_mode=init_mode,
-        params=dict(p),
     )
 
 

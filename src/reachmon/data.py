@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GenerationFailed, InsufficientData, ShapeError
+from .errors import GenerationFailed, InsufficientData, IntegrityError, ShapeError
 from .reach import reach_label_batch
 from .storage import load_container, save_container
 from .systems import HybridSystemSpec, flow
@@ -114,8 +114,11 @@ class Dataset:
     modes: np.ndarray
     traj_ids: np.ndarray
     seed: int
-    scaled: bool = False
     scaler: Scaler | None = None
+
+    @property
+    def scaled(self):
+        return self.scaler is not None
 
     @property
     def n(self):
@@ -265,7 +268,6 @@ def _generate(spec, mode, seed, n, n_states, keep, W):
         labels=reach_label_batch(spec, states[:, -1], modes[:, -1]),
         modes=modes.astype(np.int32),
         traj_ids=np.repeat(np.arange(n, dtype=np.int32), W), seed=seed,
-        scaled=False, scaler=None,
     )
 
 
@@ -302,16 +304,15 @@ def gen_sequential(spec: HybridSystemSpec, n_init: int, windows_per_traj: int,
                      windows_per_traj)
 
 
-def scale(dataset: Dataset, scaler: Scaler | None = None) -> Dataset:
-    """Scaled float64 working copy; fits the scaler on ``dataset`` when one
-    is not supplied (fit on the training split, apply everywhere else)."""
+def scale(dataset: Dataset, scaler: Scaler) -> Dataset:
+    """Scaled float64 working copy under ``scaler`` (fitted on the training
+    split, applied to every split)."""
     if dataset.scaled:
         raise ValueError("dataset is already scaled")
-    sc = scaler if scaler is not None else Scaler.fit(dataset)
     return replace(dataset,
-                   obs=sc.scale_obs(dataset.obs),
-                   states=sc.scale_states(dataset.states),
-                   scaled=True, scaler=sc)
+                   obs=scaler.scale_obs(dataset.obs),
+                   states=scaler.scale_states(dataset.states),
+                   scaler=scaler)
 
 
 def split(dataset: Dataset, n_train: int, n_calib: int, n_test: int,
@@ -366,14 +367,26 @@ def save(dataset: Dataset, path):
     })
 
 
+# dimensions of each dataset array: N first; obs, states and modes then L
+_DATASET_NDIM = {"obs": 3, "states": 3, "labels": 1, "modes": 2, "traj_ids": 1}
+
+
 def load(path) -> Dataset:
+    """The saved dataset; missing arrays, or arrays that disagree in
+    dimensions, N or L, raise ``IntegrityError``."""
     meta, arrays = load_container(path)
     if meta.get("kind") != "dataset":
         raise ShapeError(f"{path} is not a dataset container")
+    shapes = {k: arrays[k].shape for k in _DATASET_NDIM if k in arrays}
+    if len(shapes) < len(_DATASET_NDIM) \
+            or any(len(shapes[k]) != d for k, d in _DATASET_NDIM.items()) \
+            or len({s[0] for s in shapes.values()}) != 1 \
+            or len({shapes[k][1] for k in ("obs", "states", "modes")}) != 1:
+        raise IntegrityError(f"{path}: dataset arrays {shapes} do not agree")
     return Dataset(
         model_name=meta["model_name"], mode=meta["mode"],
         obs=arrays["obs"], states=arrays["states"], labels=arrays["labels"],
         modes=arrays["modes"], traj_ids=arrays["traj_ids"],
-        seed=meta["seed"], scaled=meta["scaled"],
+        seed=meta["seed"],
         scaler=Scaler.from_dict(meta["scaler"]) if meta["scaler"] else None,
     )

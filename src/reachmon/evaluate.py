@@ -52,8 +52,8 @@ def rule_from_monitor(model, calib_scaled: Dataset, k_folds: int,
     return train_rule(feats, errs, seed=seed)
 
 
-def draw_thetas(seed: int, n: int, stream: int = THETA_STREAM) -> np.ndarray:
-    return np.random.default_rng([seed, stream]).uniform(size=n)
+def draw_thetas(seed: int, n: int) -> np.ndarray:
+    return np.random.default_rng([seed, THETA_STREAM]).uniform(size=n)
 
 
 def cp_evaluate(model, calib: CalibrationSet, ds_scaled: Dataset,

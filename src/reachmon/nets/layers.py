@@ -11,10 +11,10 @@ per input length; the col2im sum is ``kernel`` shifted-slice adds, with no
 scatter.  A batch of more than ``ROW_BLOCK`` windows (an eval pass over a
 whole split) is unrolled and multiplied ``ROW_BLOCK`` windows at a time, so
 each block's im2col matrix stays in cache; training minibatches and batch-1
-verdicts fit in one block.  Each layer caches what its backward pass needs;
-gradients are written into ``grads`` aligned with ``params``.  Inside a
-:class:`~reachmon.nets.network.Network` both lists hold views of the
-network's flat parameter and gradient buffers.
+verdicts fit in one block.  Weights are float64; the layers share no base
+class, and ``Network`` checks their arguments.  Each caches what its backward
+pass needs and writes gradients into ``grads`` aligned with ``params``, which
+inside a ``Network`` are views of its flat parameter and gradient buffers.
 """
 
 from __future__ import annotations
@@ -54,18 +54,7 @@ def _activate_grad(z, out, kind):
     raise ValueError(f"unknown activation {kind!r}")
 
 
-class Layer:
-    params: list
-    grads: list
-
-    def forward(self, x, train=False, rng=None):
-        raise NotImplementedError
-
-    def backward(self, dout):
-        raise NotImplementedError
-
-
-class Conv1D(Layer):
+class Conv1D:
     """Stride-1 same-padded 1-D convolution over (batch, channels, length).
 
     ``forward`` copies the input into a zero-padded channel-last buffer
@@ -92,14 +81,12 @@ class Conv1D(Layer):
     rebuilds the matrix from it.
     """
 
-    def __init__(self, in_channels, out_channels, kernel, activation, rng, dtype):
-        if kernel % 2 == 0:
-            raise ValueError("kernel size must be odd for same padding")
+    def __init__(self, in_channels, out_channels, kernel, activation, rng):
         fan_in = in_channels * kernel
         limit = np.sqrt(6.0 / fan_in)
         self.w = rng.uniform(-limit, limit,
-                             size=(out_channels, in_channels, kernel)).astype(dtype)
-        self.b = np.zeros(out_channels, dtype=dtype)
+                             size=(out_channels, in_channels, kernel))
+        self.b = np.zeros(out_channels)
         self.kernel = kernel
         self.pad = (kernel - 1) // 2
         self.activation = activation
@@ -129,8 +116,7 @@ class Conv1D(Layer):
             z = cols @ w2.T                        # (B, L, F)
         else:
             cols = None                            # backward rebuilds it from x
-            z = np.empty((B, L, w2.shape[0]),
-                         dtype=np.result_type(x.dtype, w2.dtype, self.b.dtype))
+            z = np.empty((B, L, w2.shape[0]))
             for s in range(0, B, ROW_BLOCK):
                 np.matmul(self._im2col(x[s:s + ROW_BLOCK]), w2.T,
                           out=z[s:s + ROW_BLOCK])
@@ -163,14 +149,14 @@ class Conv1D(Layer):
         return dxp[:, p:p + L, :].transpose(0, 2, 1)
 
 
-class Dense(Layer):
-    def __init__(self, in_dim, out_dim, activation, rng, dtype, bias_init=0.0):
+class Dense:
+    def __init__(self, in_dim, out_dim, activation, rng, bias_init=0.0):
         if activation in ("relu", "leaky_relu"):
             limit = np.sqrt(6.0 / in_dim)
         else:
             limit = np.sqrt(6.0 / (in_dim + out_dim))
-        self.w = rng.uniform(-limit, limit, size=(out_dim, in_dim)).astype(dtype)
-        self.b = np.full(out_dim, bias_init, dtype=dtype)
+        self.w = rng.uniform(-limit, limit, size=(out_dim, in_dim))
+        self.b = np.full(out_dim, bias_init, dtype=np.float64)
         self.activation = activation
         self.params = [self.w, self.b]
         self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
@@ -190,12 +176,10 @@ class Dense(Layer):
         return dz @ self.w
 
 
-class Dropout(Layer):
+class Dropout:
     """Inverted dropout; identity in eval mode."""
 
     def __init__(self, rate):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
         self.params = []
         self.grads = []
@@ -214,7 +198,7 @@ class Dropout(Layer):
         return dout * self._mask
 
 
-class Flatten(Layer):
+class Flatten:
     def __init__(self):
         self.params = []
         self.grads = []

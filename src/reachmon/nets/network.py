@@ -39,13 +39,12 @@ class Network:
     parameters (``flatten``, ``dropout``) own none of it.
     """
 
-    def __init__(self, spec: dict, seed: int = 0, dtype=np.float64):
+    def __init__(self, spec: dict, seed: int = 0):
         """Layers of ``spec``; a spec whose layers do not chain or whose
         parameters are out of range raises ``ValueError``."""
         if "input_channels" not in spec or "input_len" not in spec:
             raise ValueError("netspec needs input_channels and input_len")
         self.spec = spec
-        self.dtype = dtype
         rng = np.random.default_rng([seed, 0x4E45])
         self.layers = []
         channels, length = spec["input_channels"], spec["input_len"]
@@ -61,14 +60,12 @@ class Network:
                 if layer["kernel"] % 2 == 0 or layer["kernel"] < 1:
                     raise ValueError(f"layer {i}: kernel must be odd and positive")
                 self.layers.append(Conv1D(channels, layer["filters"],
-                                          layer["kernel"], activation, rng,
-                                          dtype))
+                                          layer["kernel"], activation, rng))
                 channels = layer["filters"]
             elif kind == "dense":
                 if flat is None:
                     raise ValueError(f"layer {i}: dense requires flattened input")
-                self.layers.append(Dense(flat, layer["width"], activation,
-                                         rng, dtype,
+                self.layers.append(Dense(flat, layer["width"], activation, rng,
                                          bias_init=layer.get("bias_init", 0.0)))
                 flat = layer["width"]
             elif kind == "dropout":
@@ -81,8 +78,8 @@ class Network:
             else:
                 raise ValueError(f"layer {i}: unknown layer type {kind!r}")
         n = sum(p.size for p in self.params)
-        self.flat_params = np.empty(n, dtype=dtype)
-        self.flat_grads = np.zeros(n, dtype=dtype)
+        self.flat_params = np.empty(n)
+        self.flat_grads = np.zeros(n)
         start = 0
         for layer in self.layers:
             if not layer.params:
@@ -98,7 +95,7 @@ class Network:
             layer.grads = grads
 
     def forward(self, x, train: bool = False, rng=None):
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != self.spec["input_channels"] \
                 or x.shape[2] != self.spec["input_len"]:
             raise ShapeError(

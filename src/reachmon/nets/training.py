@@ -10,7 +10,7 @@ than exact states.  Training is deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,10 +57,11 @@ class Adam:
     that order, so every element rounds as in a per-array update.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
@@ -95,8 +96,7 @@ class TrainOpts:
     seed: int = 0
 
     def to_dict(self):
-        return {"lr": self.lr, "epochs": self.epochs,
-                "batch_size": self.batch_size, "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass
@@ -158,7 +158,7 @@ def train_classifier(X, y, netspec: dict, opts: TrainOpts):
     """Adam-optimize a classifier on windows ``X`` (N, C, L) with binary
     labels ``y``; returns ``(network, per-epoch loss history)``."""
     net = Network(netspec, seed=opts.seed)
-    X = np.asarray(X, dtype=net.dtype)
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     return net, fit([net], classifier_step(net, X, y), len(y), opts,
                     _TRAIN_STREAMS)
@@ -167,8 +167,8 @@ def train_classifier(X, y, netspec: dict, opts: TrainOpts):
 def train_estimator(X, S, netspec: dict, opts: TrainOpts):
     """Adam-optimize a state-sequence regressor (mse loss, tanh head)."""
     net = Network(netspec, seed=opts.seed)
-    X = np.asarray(X, dtype=net.dtype)
-    S = np.asarray(S, dtype=net.dtype)
+    X = np.asarray(X, dtype=np.float64)
+    S = np.asarray(S, dtype=np.float64)
 
     def step(idx, rng):
         loss, dout = mse(net.forward(X[idx], train=True, rng=rng), S[idx])
@@ -184,26 +184,25 @@ def _combined_accuracy(nse: Network, nsc: Network, X, y):
 
 def predict_scores(net: Network, X):
     """Eval-mode likelihoods: softmax of the nonnegative head scores."""
-    return softmax(net.forward(np.asarray(X, dtype=net.dtype)))
+    return softmax(net.forward(X))
 
 
-def fine_tune(nse: Network, nsc: Network, X, S, y, opts: TrainOpts,
-              guard_fraction: float = 0.1, guard_tolerance: float = 0.005):
+def fine_tune(nse: Network, nsc: Network, X, S, y, opts: TrainOpts):
     """Joint update of estimator and classifier on the summed loss.
 
     The classifier consumes the estimator's output, so its gradient flows
     back into the estimator on top of the reconstruction term.  A held-out
-    slice guards against regressions: if combined accuracy drops by more
-    than ``guard_tolerance`` (or the loss diverges), the pre-fine-tuning
-    weights are restored.  Returns ``(info_dict)``; nets are updated in
-    place.
+    guard slice of 10 % of the rows (at least one) guards against
+    regressions: if combined accuracy on it drops by more than 0.005 (or
+    the loss diverges), the pre-fine-tuning weights are restored.  Returns
+    ``(info_dict)``; nets are updated in place.
     """
-    X = np.asarray(X, dtype=nse.dtype)
-    S = np.asarray(S, dtype=nse.dtype)
+    X = np.asarray(X, dtype=np.float64)
+    S = np.asarray(S, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     guard_rng = np.random.default_rng([opts.seed, 0x4754])
     order = guard_rng.permutation(len(y))
-    n_guard = max(1, int(len(y) * guard_fraction)) if len(y) else 0
+    n_guard = max(1, int(len(y) * 0.1)) if len(y) else 0
     guard, train_rows = order[:n_guard], order[n_guard:]
 
     saved = (nse.get_weights(), nsc.get_weights())
@@ -226,7 +225,7 @@ def fine_tune(nse: Network, nsc: Network, X, S, y, opts: TrainOpts,
 
     acc_after = _combined_accuracy(nse, nsc, X[guard], y[guard])
     reverted = False
-    if diverged or acc_after < acc_before - guard_tolerance:
+    if diverged or acc_after < acc_before - 0.005:
         nse.set_weights(saved[0])
         nsc.set_weights(saved[1])
         reverted = True
@@ -245,8 +244,7 @@ def predict(model: MonitorModel, X_obs):
         lik = predict_scores(model.nets["classifier"], X_obs)
         return {"labels": lik.argmax(axis=1), "likelihoods": lik}
     if model.kind == "two_step":
-        s_hat = model.nets["nse"].forward(
-            np.asarray(X_obs, dtype=model.nets["nse"].dtype))
+        s_hat = model.nets["nse"].forward(X_obs)
         lik = predict_scores(model.nets["nsc"], s_hat)
         return {"labels": lik.argmax(axis=1), "likelihoods": lik,
                 "states_hat": s_hat}
@@ -254,8 +252,8 @@ def predict(model: MonitorModel, X_obs):
 
 
 def save_model(model: MonitorModel, path):
-    """Checkpoint: netspecs + metadata in meta.json, weight arrays in each
-    net's dtype, so the reloaded monitor is the one that was calibrated."""
+    """Checkpoint: netspecs + metadata in meta.json, float64 weight arrays,
+    so the reloaded monitor is the one that was calibrated."""
     arrays = {}
     specs = {}
     for name, net in model.nets.items():

@@ -239,13 +239,12 @@ def cmd_active(cfg: ExperimentConfig) -> list:
                     train_ds=b.train_ds, calib_ds=b.calib_ds, scaler=b.scaler,
                     approach=cfg.approach, schedule=schedule, seed=cfg.seed,
                     k_folds=cfg.k_folds)
-    frac = None if cfg.split_fraction < 0 else cfg.split_fraction
     for it in range(cfg.iters):
         pool = gen_independent(spec, cfg.pool,
                                seed=int(np.random.default_rng(
                                    [cfg.seed, 0x504F4F, it]).integers(2 ** 31)))
         state = al_iteration(state, pool, b.test_ds, cfg.eps,
-                             split_fraction=frac, warm=cfg.warm)
+                             split_fraction=cfg.split_fraction, warm=cfg.warm)
 
     out_dir = os.path.join(b.path, "active")
     save_model(state.monitor, os.path.join(out_dir, "checkpoint"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -55,7 +56,9 @@ def load_container(path):
     """Load a container; returns ``(meta, arrays)``.
 
     Raises :class:`MissingArtifact` when the directory or meta file is
-    absent and :class:`IntegrityError` on version or checksum mismatch.
+    absent and :class:`IntegrityError` on version or checksum mismatch, or
+    when an array's dtype is unknown or its shape does not fit its bytes
+    (the checksum covers the data, not the meta).
     """
     meta_path = os.path.join(path, "meta.json")
     if not os.path.isfile(meta_path):
@@ -78,6 +81,11 @@ def load_container(path):
             raise MissingArtifact(f"{path}: array file {entry['file']} missing") from None
         if _sha256(data) != entry["sha256"]:
             raise IntegrityError(f"{path}: checksum failure for array {name!r}")
-        arr = np.frombuffer(data, dtype=_DTYPES[entry["dtype"]])
-        arrays[name] = arr.reshape(entry["shape"]).astype(entry["dtype"], copy=False)
+        dtype, shape = _DTYPES.get(entry["dtype"]), entry["shape"]
+        if dtype is None or not all(type(d) is int and d >= 0 for d in shape) \
+                or math.prod(shape) * np.dtype(dtype).itemsize != len(data):
+            raise IntegrityError(f"{path}: array {name!r} ({entry['dtype']}, "
+                                 f"shape {shape}) does not fit {len(data)} bytes")
+        arr = np.frombuffer(data, dtype=dtype)
+        arrays[name] = arr.reshape(shape).astype(entry["dtype"], copy=False)
     return doc["meta"], arrays

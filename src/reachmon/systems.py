@@ -16,7 +16,7 @@ simulated in lockstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,7 +55,6 @@ class HybridSystemSpec:
     jump: Callable
     unsafe: Callable
     init_mode: Callable
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "noise_std", np.asarray(self.noise_std, dtype=np.float64))

@@ -22,7 +22,7 @@ from reachmon.data import (
     seed_words,
     split,
 )
-from reachmon.errors import InsufficientData, IntegrityError
+from reachmon.errors import InsufficientData, IntegrityError, ShapeError
 from reachmon.reach import reach_label_batch
 
 
@@ -318,6 +318,20 @@ class TestScaling:
         assert np.abs(states - tr.states.astype(np.float64)).max() < 1e-12
         assert np.abs(obs - tr.obs.astype(np.float64)).max() < 1e-12
 
+    def test_scaled_copy_is_not_scaled_again(self, small_ip_splits):
+        tr, sc = small_ip_splits["train"], small_ip_splits["scaler"]
+        scaled = small_ip_splits["train_scaled"]
+        assert not tr.scaled and tr.scaler is None
+        assert scaled.scaled and scaled.scaler is sc
+        with pytest.raises(ValueError, match="already scaled"):
+            scale(scaled, sc)
+
+    def test_scaled_and_unscaled_do_not_concatenate(self, small_ip_splits):
+        scaled, unscaled = small_ip_splits["train_scaled"], small_ip_splits["calib"]
+        for a, b in ((scaled, unscaled), (unscaled, scaled)):
+            with pytest.raises(ShapeError, match="incompatible"):
+                a.concat(b)
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40),
            st.floats(0.1, 1e3))
     @settings(max_examples=50, deadline=None)
@@ -400,6 +414,15 @@ class TestPersistence:
         assert np.array_equal(back.states, small_ip_dataset.states)
         assert np.array_equal(back.labels, small_ip_dataset.labels)
         assert back.model_name == "ip" and back.mode == "independent"
+
+    def test_scaled_round_trip(self, small_ip_splits, tmp_path):
+        scaled = small_ip_splits["train_scaled"]
+        save(scaled, tmp_path / "ds")
+        back = load(tmp_path / "ds")
+        assert back.scaled
+        assert back.scaler.to_dict() == scaled.scaler.to_dict()
+        assert back.obs.dtype == np.float64 and np.array_equal(back.obs, scaled.obs)
+        assert np.array_equal(back.states, scaled.states)
 
     def test_truncation_detected(self, small_ip_dataset, tmp_path):
         path = tmp_path / "ds"

@@ -310,7 +310,7 @@ class TestConv1DBitExact:
             # channel_last: (B, C, L) views of (B, L, C) memory, as one
             # conv passes its output and input gradient to the next
             for channel_last in (False, True):
-                layer = Conv1D(C, F, kernel, activation, rng, np.float64)
+                layer = Conv1D(C, F, kernel, activation, rng)
                 layer.b[...] = rng.normal(size=F)
                 # one instance across lengths: the im2col index is cached
                 # per length, and 6 comes back after 2
@@ -335,7 +335,7 @@ class TestConv1DBitExact:
     @pytest.mark.parametrize("kernel", [1, 5])
     def test_empty_batch(self, kernel):
         rng = np.random.default_rng(0)
-        layer = Conv1D(3, 4, kernel, "leaky_relu", rng, np.float64)
+        layer = Conv1D(3, 4, kernel, "leaky_relu", rng)
         out = layer.forward(np.empty((0, 3, 6)))
         assert out.shape == (0, 4, 6)
         assert layer.backward(np.empty((0, 4, 6))).shape == (0, 3, 6)
@@ -424,7 +424,7 @@ class TestTrainEstimator:
         from reachmon.monitor import obs_windows, state_windows
         spec = replace(twt_spec, noise_std=0 * twt_spec.noise_std)
         ds = gen_independent(spec, 600, seed=0)
-        dss = scale(ds)
+        dss = scale(ds, Scaler.fit(ds))
         X, S = obs_windows(dss), state_windows(dss)
         net, _ = train_estimator(X[:500], S[:500],
                                  build_estimator_spec(3, 3, 2, "desk"),

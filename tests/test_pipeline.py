@@ -50,28 +50,33 @@ class TestConfigPrecedence:
 
 
 class TestBundleModel:
-    def test_lalo_bundle_runs_every_command(self, tmp_path):
+    @pytest.mark.parametrize("model, gen_flags", [
+        ("ip", []), ("sn", ["--mode", "seq", "--windows", "10"]), ("cvdp", []),
+        ("lalo", []), ("twt", [])], ids=["ip", "sn", "cvdp", "lalo", "twt"])
+    def test_bundle_runs_every_command(self, tmp_path, model, gen_flags):
         conf = tmp_path / "small.conf"
         conf.write_text("epochs_scale = 0.05\nk_folds = 2\npool = 100\n"
                         "n_se_points = 20\n")
         data, bundle = str(tmp_path / "data"), str(tmp_path / "bundle")
         common = ["--config", str(conf)]
-        assert cli.main(["gen", "--model", "lalo", "--n", "400", "--seed", "3",
-                         "--out", data, *common]) == cli.EXIT_OK
+        assert cli.main(["gen", "--model", model, *gen_flags, "--n", "400",
+                         "--seed", "3", "--out", data, *common]) == cli.EXIT_OK
         assert cli.main(["train", "--data", data, "--out", bundle,
                          "--n-train", "200", "--n-calib", "120",
                          "--n-test", "80", *common]) == cli.EXIT_OK
         with open(tmp_path / "bundle" / "bundle.json") as fh:
             meta = json.load(fh)
         trained = load_config(str(conf))
-        trained.model, trained.data, trained.out = "lalo", data, bundle
+        trained.model, trained.data, trained.out = model, data, bundle
         trained.n_train, trained.n_calib, trained.n_test = 200, 120, 80
-        assert (meta["model"], meta["config_hash"]) == ("lalo", trained.hash())
-        assert cli.main(["compare-se", "--bundle", bundle, *common]) == cli.EXIT_OK
-        assert cli.main(["active", "--bundle", bundle, *common]) == cli.EXIT_OK
-        csv = (tmp_path / "bundle" / "reports" / "active.csv").read_text()
-        rows = csv.splitlines()[1:]
-        assert rows and all(r.startswith("lalo,") for r in rows)
+        assert (meta["model"], meta["config_hash"]) == (model, trained.hash())
+        for command in ("eval", "anomaly", "compare-se", "active"):
+            assert cli.main([command, "--bundle", bundle, *common]) == cli.EXIT_OK
+        reports = tmp_path / "bundle" / "reports"
+        for name in ("eval", "anomaly", "compare_se", "active"):
+            assert (reports / f"{name}.json").is_file()
+        rows = (reports / "active.csv").read_text().splitlines()[1:]
+        assert rows and all(r.startswith(f"{model},") for r in rows)
 
     def test_linear_bundle_reloads_from_another_directory(self, tmp_path,
                                                            monkeypatch):
@@ -395,6 +400,42 @@ class TestMalformedCheckpoint:
         assert cli.main(["eval", "--bundle", str(bundle)]) == cli.EXIT_INTEGRITY
         assert "do not match the netspecs" in capsys.readouterr().err
         assert not (bundle / "reports").exists()
+
+
+class TestMalformedDataset:
+    # the checksum covers the array bytes, not their meta.json entries; each
+    # of the first four edits ended train in an uncaught ValueError,
+    # KeyError or IndexError
+    @pytest.mark.parametrize("name, edit", [
+        ("obs", lambda e: e.update(shape=[3, 2, 1])),
+        ("obs", lambda e: e.update(dtype="float16")),
+        ("labels", None),
+        ("labels", lambda e: e.update(shape=[e["shape"][0], 2])),
+        # the bytes fit, but N, then L, disagree with the other arrays
+        ("obs", lambda e: e.update(shape=[e["shape"][0] * e["shape"][1], 1,
+                                          e["shape"][2]])),
+        ("states", lambda e: e.update(shape=[e["shape"][0],
+                                             e["shape"][1] * e["shape"][2], 1])),
+    ], ids=["obs-shape", "obs-dtype", "labels-deleted", "labels-shape",
+            "obs-n", "states-l"])
+    def test_train_exits_with_integrity_error(self, ip_data, tmp_path, capsys,
+                                              name, edit):
+        data = tmp_path / "data"
+        shutil.copytree(ip_data, data)
+        doc = json.loads((data / "meta.json").read_text())
+        if edit is None:
+            del doc["arrays"][name]
+        else:
+            edit(doc["arrays"][name])
+        (data / "meta.json").write_text(json.dumps(doc))
+        conf = tmp_path / "small.conf"
+        conf.write_text("k_folds = 2\n")
+        bundle = tmp_path / "b"
+        assert cli.main(["train", "--data", str(data), "--out", str(bundle),
+                         "--n-train", "180", "--n-calib", "100", "--n-test", "20",
+                         "--config", str(conf)]) == cli.EXIT_INTEGRITY
+        assert "integrity failure" in capsys.readouterr().err
+        assert not bundle.exists()
 
 
 class TestActiveReusesMetrics:
