@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GenerationFailed, InsufficientData, IntegrityError, ShapeError
 from .reach import reach_label_batch
-from .storage import load_container, save_container
+from .storage import load_container, require_keys, save_container
 from .systems import HybridSystemSpec, flow
 
 SEQUENCE_LEN = 32  # states per generated sequence; windows are its tail
@@ -372,8 +372,8 @@ _DATASET_NDIM = {"obs": 3, "states": 3, "labels": 1, "modes": 2, "traj_ids": 1}
 
 
 def load(path) -> Dataset:
-    """The saved dataset; missing arrays, or arrays that disagree in
-    dimensions, N or L, raise ``IntegrityError``."""
+    """The saved dataset; missing arrays or meta keys, or arrays that
+    disagree in dimensions, N or L, raise ``IntegrityError``."""
     meta, arrays = load_container(path)
     if meta.get("kind") != "dataset":
         raise ShapeError(f"{path} is not a dataset container")
@@ -383,6 +383,7 @@ def load(path) -> Dataset:
             or len({s[0] for s in shapes.values()}) != 1 \
             or len({shapes[k][1] for k in ("obs", "states", "modes")}) != 1:
         raise IntegrityError(f"{path}: dataset arrays {shapes} do not agree")
+    require_keys(meta, ("model_name", "mode", "seed", "scaler"), path)
     return Dataset(
         model_name=meta["model_name"], mode=meta["mode"],
         obs=arrays["obs"], states=arrays["states"], labels=arrays["labels"],

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..errors import IntegrityError, NumericalError, ShapeError
-from ..storage import load_container, save_container
+from ..storage import load_container, require_keys, save_container
 from .network import Network
 
 
@@ -266,12 +266,14 @@ def save_model(model: MonitorModel, path):
 
 
 def load_model(path) -> MonitorModel:
-    """The saved monitor.  A netspec that :class:`Network` rejects, or weight
-    arrays other than exactly the netspecs' parameters (one missing, one
-    extra, one of another shape), raise ``IntegrityError``."""
+    """The saved monitor.  A missing meta key, a netspec that
+    :class:`Network` rejects, or weight arrays other than exactly the
+    netspecs' parameters (one missing, one extra, one of another shape),
+    raise ``IntegrityError``."""
     meta, arrays = load_container(path)
     if meta.get("kind") != "checkpoint":
         raise ShapeError(f"{path} is not a checkpoint container")
+    require_keys(meta, ("netspecs", "monitor_kind", "train_meta"), path)
     nets, expected = {}, set()
     for name, spec in meta["netspecs"].items():
         try:

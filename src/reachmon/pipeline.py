@@ -23,7 +23,7 @@ from .config import ExperimentConfig
 from .conformal import CalibrationSet
 from .data import Dataset, Scaler, gen_independent, gen_sequential, load, save, scale, split
 from .detect import RejectionRule, check_folds
-from .errors import ConfigError, InsufficientData, MissingArtifact
+from .errors import ConfigError, InsufficientData, IntegrityError, MissingArtifact
 from .evaluate import (
     RULE_STREAM,
     calibration_scores,
@@ -32,9 +32,10 @@ from .evaluate import (
     full_report,
     rule_from_monitor,
 )
-from .monitor import TrainSchedule, monitor_predict, train_monitor
+# unused here, but perfbench/selftest.py patches pipeline.monitor_predict
+from .monitor import TrainSchedule, monitor_predict, obs_windows, train_monitor
 from .nets import load_model, save_model
-from .storage import load_container, save_container
+from .storage import load_container, require_keys, save_container
 from .ukf import relative_error, ukf_estimate
 
 REPORT_COLUMNS = ["model", "approach", "setting", "seed", "eps", "accuracy",
@@ -170,15 +171,24 @@ def cmd_train(cfg: ExperimentConfig) -> str:
 
 # --- bundle loading -----------------------------------------------------------
 
+# what a bundle was trained with, which its commands run with
+_RUN_KEYS = ("model", "mode", "approach", "profile", "seed")
+
+
 class Bundle:
-    """In-memory view of a bundle directory."""
+    """In-memory view of a bundle directory; a ``bundle.json`` that is not
+    JSON or lacks a key raises ``IntegrityError``."""
 
     def __init__(self, path):
         meta_path = os.path.join(path, "bundle.json")
         if not os.path.isfile(meta_path):
             raise MissingArtifact(f"no bundle at {path}")
-        with open(meta_path) as fh:
-            self.meta = json.load(fh)
+        try:
+            with open(meta_path) as fh:
+                self.meta = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise IntegrityError(f"malformed {meta_path}: {exc}") from None
+        require_keys(self.meta, ("scaler", "rule", *_RUN_KEYS), meta_path)
         self.path = path
         self.monitor = load_model(os.path.join(path, "checkpoint"))
         cal_meta, cal_arrays = load_container(os.path.join(path, "calibration"))
@@ -200,8 +210,7 @@ class Bundle:
         if not cfg.bundle:
             raise ConfigError(f"{command} requires --bundle")
         b = cls(cfg.bundle)
-        return b, replace(cfg, **{k: b.meta[k] for k in (
-            "model", "mode", "approach", "profile", "seed")})
+        return b, replace(cfg, **{k: b.meta[k] for k in _RUN_KEYS})
 
 
 # --- eval ---------------------------------------------------------------------
@@ -325,8 +334,8 @@ def cmd_anomaly(cfg: ExperimentConfig) -> dict:
 def cmd_compare_se(cfg: ExperimentConfig) -> dict:
     """Relative reconstruction error of the neural estimator vs the UKF.
 
-    Both estimators see the first ``n_se_points`` test windows: the NSE in
-    one batched predict, the UKF in one lockstep bank (:func:`ukf_estimate`).
+    Both estimators see the first ``n_se_points`` test windows: the NSE net
+    runs once and the classifier not at all, the UKF in one lockstep bank.
     Each estimator's (N,) errors come from one :func:`relative_error` call
     on the whole stack; the report holds their mean and standard deviation.
     """
@@ -342,8 +351,8 @@ def cmd_compare_se(cfg: ExperimentConfig) -> dict:
     subset = b.test_ds.subset(np.arange(n_points))
     sub_scaled = scale(subset, b.scaler)
 
-    pred = monitor_predict(b.monitor, sub_scaled)
-    est_scaled = pred["states_hat"].transpose(0, 2, 1)   # (N, L, state_dim)
+    est_scaled = b.monitor.nets["nse"].forward(
+        obs_windows(sub_scaled)).transpose(0, 2, 1)   # (N, L, state_dim)
     nse_states = b.scaler.unscale_states(est_scaled)
     ranges = b.scaler.state_ranges()
 

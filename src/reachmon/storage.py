@@ -28,6 +28,14 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def require_keys(doc: dict, keys, where):
+    """Raise :class:`IntegrityError` naming ``where`` and the first of
+    ``keys`` that ``doc`` lacks."""
+    for key in keys:
+        if key not in doc:
+            raise IntegrityError(f"{where}: missing key {key!r}")
+
+
 def save_container(path, meta: dict, arrays: dict[str, np.ndarray]):
     """Write ``meta`` and ``arrays`` under directory ``path`` (created)."""
     os.makedirs(path, exist_ok=True)
@@ -56,9 +64,9 @@ def load_container(path):
     """Load a container; returns ``(meta, arrays)``.
 
     Raises :class:`MissingArtifact` when the directory or meta file is
-    absent and :class:`IntegrityError` on version or checksum mismatch, or
-    when an array's dtype is unknown or its shape does not fit its bytes
-    (the checksum covers the data, not the meta).
+    absent and :class:`IntegrityError` on version or checksum mismatch, on a
+    missing meta key, or when an array's dtype is unknown or its shape does
+    not fit its bytes (the checksum covers the data, not the meta).
     """
     meta_path = os.path.join(path, "meta.json")
     if not os.path.isfile(meta_path):
@@ -71,8 +79,11 @@ def load_container(path):
     if doc.get("format_version") != FORMAT_VERSION:
         raise IntegrityError(
             f"{path}: format version {doc.get('format_version')} != {FORMAT_VERSION}")
+    require_keys(doc, ("meta", "arrays"), meta_path)
     arrays = {}
     for name, entry in doc["arrays"].items():
+        require_keys(entry, ("file", "sha256", "dtype", "shape"),
+                     f"{meta_path}: array {name!r}")
         fpath = os.path.join(path, entry["file"])
         try:
             with open(fpath, "rb") as fh:

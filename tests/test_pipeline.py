@@ -14,7 +14,9 @@ from reachmon.config import CHOICES, RANGES, ExperimentConfig, load_config
 from reachmon.data import scale
 from reachmon.errors import ConfigError
 from reachmon.evaluate import calibration_scores
-from reachmon.nets import load_model
+from reachmon.monitor import monitor_predict
+from reachmon.nets import layers, load_model
+from reachmon.ukf import relative_error
 
 
 def _tree_digests(root):
@@ -401,6 +403,19 @@ class TestMalformedCheckpoint:
         assert "do not match the netspecs" in capsys.readouterr().err
         assert not (bundle / "reports").exists()
 
+    # each ended eval in an uncaught KeyError
+    @pytest.mark.parametrize("key", ["netspecs", "monitor_kind", "train_meta"])
+    def test_missing_meta_key(self, sn_bundle, tmp_path, capsys, key):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(sn_bundle, bundle)
+        meta_path = bundle / "checkpoint" / "meta.json"
+        doc = json.loads(meta_path.read_text())
+        del doc["meta"][key]
+        meta_path.write_text(json.dumps(doc))
+        assert cli.main(["eval", "--bundle", str(bundle)]) == cli.EXIT_INTEGRITY
+        assert f"missing key {key!r}" in capsys.readouterr().err
+        assert not (bundle / "reports").exists()
+
 
 class TestMalformedDataset:
     # the checksum covers the array bytes, not their meta.json entries; each
@@ -436,6 +451,99 @@ class TestMalformedDataset:
                          "--config", str(conf)]) == cli.EXIT_INTEGRITY
         assert "integrity failure" in capsys.readouterr().err
         assert not bundle.exists()
+
+    # a meta.json key the container, dataset or checkpoint loader reads
+    # ended the command in an uncaught KeyError
+    @pytest.mark.parametrize("path, key", [
+        (("arrays", "obs"), "sha256"), (("arrays", "obs"), "file"),
+        (("meta",), "model_name"), ((), "arrays"), ((), "meta")],
+        ids=["obs-sha256", "obs-file", "model_name", "arrays", "meta"])
+    def test_missing_meta_key(self, ip_data, tmp_path, capsys, path, key):
+        data = tmp_path / "data"
+        shutil.copytree(ip_data, data)
+        doc = json.loads((data / "meta.json").read_text())
+        entry = doc
+        for part in path:
+            entry = entry[part]
+        del entry[key]
+        (data / "meta.json").write_text(json.dumps(doc))
+        conf = tmp_path / "small.conf"
+        conf.write_text("k_folds = 2\n")
+        bundle = tmp_path / "b"
+        assert cli.main(["train", "--data", str(data), "--out", str(bundle),
+                         "--n-train", "180", "--n-calib", "100", "--n-test", "20",
+                         "--config", str(conf)]) == cli.EXIT_INTEGRITY
+        assert f"missing key {key!r}" in capsys.readouterr().err
+        assert not bundle.exists()
+
+
+class TestMalformedBundleJson:
+    # a truncated bundle.json ended the command in an uncaught
+    # JSONDecodeError, and a missing key in an uncaught KeyError
+    @pytest.mark.parametrize("command", ["eval", "compare-se"])
+    @pytest.mark.parametrize("key", [
+        pytest.param(None, id="truncated"), "scaler", "rule", "model", "mode",
+        "approach", "profile", "seed"])
+    def test_exits_with_integrity_error(self, sn_bundle, tmp_path, capsys,
+                                        command, key):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(sn_bundle, bundle)
+        meta_path = bundle / "bundle.json"
+        text = meta_path.read_text()
+        if key is None:
+            meta_path.write_text(text[:len(text) // 2])
+        else:
+            doc = json.loads(text)
+            del doc[key]
+            meta_path.write_text(json.dumps(doc))
+        assert cli.main([command, "--bundle", str(bundle)]) == cli.EXIT_INTEGRITY
+        err = capsys.readouterr().err
+        assert "bundle.json" in err
+        assert key is None or f"missing key {key!r}" in err
+        assert not (bundle / "reports").exists()
+
+
+@pytest.fixture(scope="class")
+def lalo_bundle(tmp_path_factory):
+    """A two-step lalo bundle with a test split."""
+    root = tmp_path_factory.mktemp("lalo")
+    conf = root / "small.conf"
+    conf.write_text("epochs_scale = 0.05\nk_folds = 2\nn_se_points = 30\n")
+    data, bundle = str(root / "data"), str(root / "bundle")
+    assert cli.main(["gen", "--model", "lalo", "--n", "400", "--seed", "3",
+                     "--out", data, "--config", str(conf)]) == cli.EXIT_OK
+    assert cli.main(["train", "--data", data, "--out", bundle,
+                     "--n-train", "200", "--n-calib", "120", "--n-test", "80",
+                     "--config", str(conf)]) == cli.EXIT_OK
+    return root / "bundle", conf
+
+
+class TestCompareSE:
+    def test_classifier_does_not_run(self, lalo_bundle, monkeypatch):
+        # the estimator is all convolutions; only the classifier has dense
+        # layers
+        def no_dense(*args, **kwargs):
+            raise AssertionError("compare-se ran a dense layer")
+
+        monkeypatch.setattr(layers.Dense, "forward", no_dense)
+        bundle, conf = lalo_bundle
+        assert cli.main(["compare-se", "--bundle", str(bundle),
+                         "--config", str(conf)]) == cli.EXIT_OK
+
+    def test_nse_error_matches_monitor_predict(self, lalo_bundle):
+        bundle, conf = lalo_bundle
+        assert cli.main(["compare-se", "--bundle", str(bundle),
+                         "--config", str(conf)]) == cli.EXIT_OK
+        report = json.loads((bundle / "reports" / "compare_se.json").read_text())
+        b = pipeline.Bundle(str(bundle))
+        subset = b.test_ds.subset(np.arange(report["n_points"]))
+        states_hat = monitor_predict(b.monitor, scale(subset, b.scaler))["states_hat"]
+        err = relative_error(subset.states.astype(np.float64),
+                             b.scaler.unscale_states(states_hat.transpose(0, 2, 1)),
+                             b.scaler.state_ranges())
+        assert report["n_points"] == 30
+        assert (report["nse_mean"], report["nse_std"]) == (float(err.mean()),
+                                                           float(err.std()))
 
 
 class TestActiveReusesMetrics:
