@@ -23,7 +23,7 @@ from .config import ExperimentConfig
 from .conformal import CalibrationSet
 from .data import Dataset, Scaler, gen_independent, gen_sequential, load, save, scale, split
 from .detect import RejectionRule, check_folds
-from .errors import ConfigError, InsufficientData, IntegrityError, MissingArtifact
+from .errors import ConfigError, InsufficientData, MissingArtifact
 from .evaluate import (
     RULE_STREAM,
     calibration_scores,
@@ -35,7 +35,7 @@ from .evaluate import (
 # unused here, but perfbench/selftest.py patches pipeline.monitor_predict
 from .monitor import TrainSchedule, monitor_predict, obs_windows, train_monitor
 from .nets import load_model, save_model
-from .storage import load_container, require_keys, save_container
+from .storage import load_container, read_json, require_keys, save_container
 from .ukf import relative_error, ukf_estimate
 
 REPORT_COLUMNS = ["model", "approach", "setting", "seed", "eps", "accuracy",
@@ -183,11 +183,7 @@ class Bundle:
         meta_path = os.path.join(path, "bundle.json")
         if not os.path.isfile(meta_path):
             raise MissingArtifact(f"no bundle at {path}")
-        try:
-            with open(meta_path) as fh:
-                self.meta = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise IntegrityError(f"malformed {meta_path}: {exc}") from None
+        self.meta = read_json(meta_path)
         require_keys(self.meta, ("scaler", "rule", *_RUN_KEYS), meta_path)
         self.path = path
         self.monitor = load_model(os.path.join(path, "checkpoint"))

@@ -28,6 +28,19 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def read_json(path) -> dict:
+    """The JSON object in file ``path``; a file that cannot be read, is not
+    UTF-8 JSON or holds no object raises :class:`IntegrityError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise IntegrityError(f"malformed {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise IntegrityError(f"malformed {path}: not a JSON object")
+    return doc
+
+
 def require_keys(doc: dict, keys, where):
     """Raise :class:`IntegrityError` naming ``where`` and the first of
     ``keys`` that ``doc`` lacks."""
@@ -71,11 +84,7 @@ def load_container(path):
     meta_path = os.path.join(path, "meta.json")
     if not os.path.isfile(meta_path):
         raise MissingArtifact(f"no container at {path}")
-    try:
-        with open(meta_path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"malformed meta.json in {path}: {exc}") from None
+    doc = read_json(meta_path)
     if doc.get("format_version") != FORMAT_VERSION:
         raise IntegrityError(
             f"{path}: format version {doc.get('format_version')} != {FORMAT_VERSION}")

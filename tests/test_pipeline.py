@@ -219,19 +219,22 @@ class TestCountsBelowOne:
         assert not (tmp_path / "x").exists()
 
 
-@pytest.fixture(scope="class")
-def no_test_bundle(tmp_path_factory):
-    """A two-step lalo bundle trained with ``--n-test 0``."""
-    root = tmp_path_factory.mktemp("no_test")
+def _lalo_bundle(root, n_test):
+    """A two-step lalo bundle under ``root`` trained with ``--n-test n_test``."""
     conf = root / "small.conf"
     conf.write_text("epochs_scale = 0.05\nk_folds = 2\n")
     data, bundle = str(root / "data"), str(root / "bundle")
     assert cli.main(["gen", "--model", "lalo", "--n", "400", "--seed", "3",
                      "--out", data, "--config", str(conf)]) == cli.EXIT_OK
     assert cli.main(["train", "--data", data, "--out", bundle,
-                     "--n-train", "200", "--n-calib", "120", "--n-test", "0",
+                     "--n-train", "200", "--n-calib", "120", "--n-test", str(n_test),
                      "--config", str(conf)]) == cli.EXIT_OK
     return root / "bundle"
+
+
+@pytest.fixture(scope="class")
+def no_test_bundle(tmp_path_factory):
+    return _lalo_bundle(tmp_path_factory.mktemp("no_test"), 0)
 
 
 class TestEmptyTestSplit:
@@ -452,6 +455,23 @@ class TestMalformedDataset:
         assert "integrity failure" in capsys.readouterr().err
         assert not bundle.exists()
 
+    # each ended train in an uncaught UnicodeDecodeError or AttributeError
+    @pytest.mark.parametrize("edit", [lambda text: b"\xff" + text,
+                                      lambda text: b"[]"],
+                             ids=["not-utf8", "not-an-object"])
+    def test_meta_not_a_json_object(self, ip_data, tmp_path, capsys, edit):
+        data = tmp_path / "data"
+        shutil.copytree(ip_data, data)
+        (data / "meta.json").write_bytes(edit((data / "meta.json").read_bytes()))
+        conf = tmp_path / "small.conf"
+        conf.write_text("k_folds = 2\n")
+        bundle = tmp_path / "b"
+        assert cli.main(["train", "--data", str(data), "--out", str(bundle),
+                         "--n-train", "180", "--n-calib", "100", "--n-test", "20",
+                         "--config", str(conf)]) == cli.EXIT_INTEGRITY
+        assert "meta.json" in capsys.readouterr().err
+        assert not bundle.exists()
+
     # a meta.json key the container, dataset or checkpoint loader reads
     # ended the command in an uncaught KeyError
     @pytest.mark.parametrize("path, key", [
@@ -505,17 +525,7 @@ class TestMalformedBundleJson:
 
 @pytest.fixture(scope="class")
 def lalo_bundle(tmp_path_factory):
-    """A two-step lalo bundle with a test split."""
-    root = tmp_path_factory.mktemp("lalo")
-    conf = root / "small.conf"
-    conf.write_text("epochs_scale = 0.05\nk_folds = 2\nn_se_points = 30\n")
-    data, bundle = str(root / "data"), str(root / "bundle")
-    assert cli.main(["gen", "--model", "lalo", "--n", "400", "--seed", "3",
-                     "--out", data, "--config", str(conf)]) == cli.EXIT_OK
-    assert cli.main(["train", "--data", data, "--out", bundle,
-                     "--n-train", "200", "--n-calib", "120", "--n-test", "80",
-                     "--config", str(conf)]) == cli.EXIT_OK
-    return root / "bundle", conf
+    return _lalo_bundle(tmp_path_factory.mktemp("lalo"), 80)
 
 
 class TestCompareSE:
@@ -526,16 +536,14 @@ class TestCompareSE:
             raise AssertionError("compare-se ran a dense layer")
 
         monkeypatch.setattr(layers.Dense, "forward", no_dense)
-        bundle, conf = lalo_bundle
-        assert cli.main(["compare-se", "--bundle", str(bundle),
-                         "--config", str(conf)]) == cli.EXIT_OK
+        assert cli.main(["compare-se", "--bundle", str(lalo_bundle),
+                         "--n-points", "30"]) == cli.EXIT_OK
 
     def test_nse_error_matches_monitor_predict(self, lalo_bundle):
-        bundle, conf = lalo_bundle
-        assert cli.main(["compare-se", "--bundle", str(bundle),
-                         "--config", str(conf)]) == cli.EXIT_OK
-        report = json.loads((bundle / "reports" / "compare_se.json").read_text())
-        b = pipeline.Bundle(str(bundle))
+        assert cli.main(["compare-se", "--bundle", str(lalo_bundle),
+                         "--n-points", "30"]) == cli.EXIT_OK
+        report = json.loads((lalo_bundle / "reports" / "compare_se.json").read_text())
+        b = pipeline.Bundle(str(lalo_bundle))
         subset = b.test_ds.subset(np.arange(report["n_points"]))
         states_hat = monitor_predict(b.monitor, scale(subset, b.scaler))["states_hat"]
         err = relative_error(subset.states.astype(np.float64),

@@ -43,7 +43,6 @@ def parse_args(argv):
                    help="length of each run (default: BENCHMARK.json run_seconds)")
     p.add_argument("--short", action="store_true",
                    help="smoke-test sizes, passed on to perfbench/run.py")
-    p.add_argument("--save", help="write every run's result to this JSON file")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -120,10 +119,6 @@ def main(argv=None) -> int:
                               "correct" if res["correct"] else "NOT correct")
                     print(f"pair {i + 1}/{args.pairs} seed {seed} {w} {side}: "
                           f"{status}", file=sys.stderr, flush=True)
-    if args.save:
-        with open(args.save, "w") as fh:
-            json.dump({"parent": commit, "seeds": [args.seed, args.seed + args.pairs - 1],
-                       "seconds": seconds, "results": results}, fh, indent=1)
     print("metric median [q1, q3] of the parent, then of the change; change "
           "in the medians; pairs won/tied/lost; gain")
     for w in workloads:
