@@ -17,15 +17,8 @@ import numpy as np
 from .conformal import CalibrationSet
 from .data import Dataset, Scaler, scale
 from .detect import RejectionRule, reject_batch
-from .evaluate import (
-    QUERY_STREAM,
-    RULE_STREAM,
-    calibration_scores,
-    cp_evaluate,
-    dataset_hash,
-    full_report,
-    rule_from_monitor,
-)
+from .evaluate import (QUERY_STREAM, RULE_STREAM, calibrate, cp_evaluate,
+                       dataset_hash, full_report)
 from .monitor import MonitorModel, TrainSchedule, continue_training, train_monitor
 
 
@@ -39,7 +32,6 @@ class ALState:
     train_ds: Dataset
     calib_ds: Dataset
     scaler: Scaler
-    approach: str
     schedule: TrainSchedule
     seed: int
     k_folds: int = 5
@@ -142,16 +134,14 @@ def al_iteration(state: ALState, pool_ds: Dataset, test_ds: Dataset,
         cold = replace(s, classifier=replace(s.classifier, seed=seed),
                        estimator=replace(s.estimator, seed=seed),
                        finetune=replace(s.finetune, seed=seed))
-        state.monitor = train_monitor(train_scaled, state.approach, cold)
+        state.monitor = train_monitor(train_scaled, state.monitor.kind, cold)
         row["retrain"] = {k: state.monitor.meta[k]
                           for k in ("loss_history", "finetune")
                           if k in state.monitor.meta}
     state.monitor.meta.update(row["retrain"])  # checkpoints show the last retrain
 
-    calib_scaled = scale(state.calib_ds, state.scaler)
-    state.calib = calibration_scores(state.monitor, calib_scaled)
-    state.rule = rule_from_monitor(
-        state.monitor, calib_scaled, state.k_folds,
+    state.calib, state.rule = calibrate(
+        state.monitor, scale(state.calib_ds, state.scaler), state.k_folds,
         np.random.default_rng([state.seed, RULE_STREAM, state.iteration]),
         state.seed)
 

@@ -60,7 +60,7 @@ def ip_spec() -> HybridSystemSpec:
         )
         return u[:, None]
 
-    def drift(V, A, t, Q):
+    def drift(V, A, Q):
         th, om = V[:, 0], V[:, 1]
         u = A[:, 0]
         return np.stack([om, np.sin(th) - np.cos(th) * u], axis=1)
@@ -92,7 +92,7 @@ def sn_spec() -> HybridSystemSpec:
     the recovery bumped by ``d``; only the recovery channel is observed."""
     p = SN_PARAMS
 
-    def drift(V, A, t, Q):
+    def drift(V, A, Q):
         pot, rec = V[:, 0], V[:, 1]
         dpot = 0.04 * pot * pot + 5.0 * pot + 140.0 - rec + p["current"]
         drec = p["a"] * (p["b"] * pot - rec)
@@ -128,7 +128,7 @@ def cvdp_spec() -> HybridSystemSpec:
     """Two coupled oscillators; positions of both are observed, the unsafe
     set requires both velocities to exceed 2.75 simultaneously."""
 
-    def drift(V, A, t, Q):
+    def drift(V, A, Q):
         s1, s2, s3, s4 = V[:, 0], V[:, 1], V[:, 2], V[:, 3]
         return np.stack([
             s2,
@@ -159,7 +159,7 @@ def lalo_spec() -> HybridSystemSpec:
     """Seven-dimensional enzymatic network; every variable except the
     safety-critical fourth one is observed."""
 
-    def drift(V, A, t, Q):
+    def drift(V, A, Q):
         s1, s2, s3, s4, s5, s6, s7 = (V[:, i] for i in range(7))
         return np.stack([
             1.4 * s3 - 0.9 * s1,
@@ -204,24 +204,23 @@ def twt_spec() -> HybridSystemSpec:
     levels sweep the safe band and occasionally overshoot it."""
     p = TWT_PARAMS
 
-    def _pump_bits(Q):
-        return np.stack([(Q >> i) & 1 for i in range(3)], axis=1).astype(np.float64)
+    def bits(Q):
+        """(B, 3) pump bits of modes ``Q``: pump ``i`` is bit ``i``."""
+        return (Q[:, None] >> np.arange(3)) & 1
 
-    def drift(V, A, t, Q):
-        pumps = _pump_bits(Q)
+    def mode(b):
+        """int64 modes of (B, 3) pump bits."""
+        return (b.astype(np.int64) << np.arange(3)).sum(axis=1)
+
+    def drift(V, A, Q):
         prev = np.concatenate([np.zeros((V.shape[0], 1)), V[:, :2]], axis=1)
         inflow = p["inflow_coef"] * np.sqrt(np.maximum(2.0 * p["gravity"] * prev, 0.0))
         outflow = p["outflow_coef"] * np.sqrt(np.maximum(2.0 * p["gravity"] * V, 0.0))
-        return (inflow - outflow + p["pump_rate"] * pumps) / p["area"]
+        return (inflow - outflow + p["pump_rate"] * bits(Q)) / p["area"]
 
     def jump(V, Q):
-        bits = np.stack([(Q >> i) & 1 for i in range(3)], axis=1).astype(bool)
-        bits = np.where(V <= p["pump_on_level"], True,
-                        np.where(V >= p["pump_off_level"], False, bits))
-        Qn = (bits[:, 0].astype(np.int64)
-              | (bits[:, 1].astype(np.int64) << 1)
-              | (bits[:, 2].astype(np.int64) << 2))
-        return V, Qn
+        return V, mode(np.where(V <= p["pump_on_level"], 1,
+                                np.where(V >= p["pump_off_level"], 0, bits(Q))))
 
     def observe_fn(V, Q):
         return V.copy()
@@ -230,10 +229,7 @@ def twt_spec() -> HybridSystemSpec:
         return ((V < p["safe_lo"]) | (V > p["safe_hi"])).any(axis=1)
 
     def init_mode(V):
-        bits = V < 5.0
-        return (bits[:, 0].astype(np.int64)
-                | (bits[:, 1].astype(np.int64) << 1)
-                | (bits[:, 2].astype(np.int64) << 2))
+        return mode(V < 5.0)
 
     return HybridSystemSpec(
         name="twt", state_dim=3, obs_dim=3, modes=tuple(range(8)), dt=0.1,
@@ -333,7 +329,7 @@ def load_linear_system(path) -> HybridSystemSpec:
     if len(noise) != len(obs_idx):
         raise ConfigError("linear-system file: noise length mismatch")
 
-    def drift(V, A_in, t, Q):
+    def drift(V, A_in, Q):
         return V @ A.T
 
     def observe_fn(V, Q):

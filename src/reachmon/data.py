@@ -75,11 +75,7 @@ class Scaler:
 
     @staticmethod
     def _invert(x, lo, hi):
-        span = hi - lo
-        out = np.broadcast_to(lo, x.shape).astype(np.float64).copy()
-        ok = span > 0
-        out[..., ok] = lo[ok] + (x[..., ok] + 1.0) * span[ok] / 2.0
-        return out
+        return lo + (x + 1.0) * (hi - lo) / 2.0
 
     def scale_states(self, states):
         return self._apply(np.asarray(states, dtype=np.float64),
@@ -95,6 +91,11 @@ class Scaler:
 
     def state_ranges(self):
         return self.state_max - self.state_min
+
+
+# the arrays of a dataset and their dimensions: N first; obs, states and
+# modes then L
+_DATASET_NDIM = {"obs": 3, "states": 3, "labels": 1, "modes": 2, "traj_ids": 1}
 
 
 @dataclass
@@ -141,31 +142,24 @@ class Dataset:
         idx = np.asarray(idx)
         if idx.size == 0:
             idx = idx.astype(np.intp)  # ``np.asarray([])`` is float64
-        return replace(self, obs=self.obs[idx], states=self.states[idx],
-                       labels=self.labels[idx], modes=self.modes[idx],
-                       traj_ids=self.traj_ids[idx])
+        return replace(self, **{k: getattr(self, k)[idx] for k in _DATASET_NDIM})
 
     def concat(self, other: "Dataset") -> "Dataset":
         if other.n == 0:
             return self
         if self.scaled != other.scaled or self.model_name != other.model_name:
             raise ShapeError("cannot concatenate incompatible datasets")
-        return replace(
-            self,
-            obs=np.concatenate([self.obs, other.obs]),
-            states=np.concatenate([self.states, other.states]),
-            labels=np.concatenate([self.labels, other.labels]),
-            modes=np.concatenate([self.modes, other.modes]),
-            traj_ids=np.concatenate([self.traj_ids, other.traj_ids]),
-        )
+        return replace(self, **{k: np.concatenate([getattr(self, k),
+                                                   getattr(other, k)])
+                                for k in _DATASET_NDIM})
 
 
 def _simulate_tolerant(spec, V0, Q0, n_steps):
     """Batch simulation that flags diverged rows instead of raising.
 
-    Each transition is :func:`systems.flow` from time ``k * dt``; a row
-    whose state turns non-finite is parked at zero and masked out, then the
-    jump rule runs on every row.  Returns ``(states, modes, ok)``.
+    Each transition is :func:`systems.flow`; a row whose state turns
+    non-finite is parked at zero and masked out, then the jump rule runs on
+    every row.  Returns ``(states, modes, ok)``.
     """
     B = V0.shape[0]
     Vs = np.empty((n_steps + 1, B, spec.state_dim), dtype=np.float64)
@@ -175,7 +169,7 @@ def _simulate_tolerant(spec, V0, Q0, n_steps):
     ok = np.ones(B, dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(n_steps):
-            V = flow(spec, V, Q, k * spec.dt)
+            V = flow(spec, V, Q)
             bad = ~np.isfinite(V).all(axis=1)
             if bad.any():
                 ok &= ~bad
@@ -360,15 +354,7 @@ def save(dataset: Dataset, path):
         "scaler": dataset.scaler.to_dict() if dataset.scaler else None,
         "counts": {"n": int(dataset.n)},
     }
-    save_container(path, meta, {
-        "obs": dataset.obs, "states": dataset.states,
-        "labels": dataset.labels, "modes": dataset.modes,
-        "traj_ids": dataset.traj_ids,
-    })
-
-
-# dimensions of each dataset array: N first; obs, states and modes then L
-_DATASET_NDIM = {"obs": 3, "states": 3, "labels": 1, "modes": 2, "traj_ids": 1}
+    save_container(path, meta, {k: getattr(dataset, k) for k in _DATASET_NDIM})
 
 
 def load(path) -> Dataset:
@@ -385,9 +371,6 @@ def load(path) -> Dataset:
         raise IntegrityError(f"{path}: dataset arrays {shapes} do not agree")
     require_keys(meta, ("model_name", "mode", "seed", "scaler"), path)
     return Dataset(
-        model_name=meta["model_name"], mode=meta["mode"],
-        obs=arrays["obs"], states=arrays["states"], labels=arrays["labels"],
-        modes=arrays["modes"], traj_ids=arrays["traj_ids"],
-        seed=meta["seed"],
+        model_name=meta["model_name"], mode=meta["mode"], seed=meta["seed"],
         scaler=Scaler.from_dict(meta["scaler"]) if meta["scaler"] else None,
-    )
+        **{k: arrays[k] for k in _DATASET_NDIM})

@@ -43,13 +43,15 @@ def calibration_scores(model, calib_scaled: Dataset) -> CalibrationSet:
         ncf_classification_batch(pred["likelihoods"], calib_scaled.labels))
 
 
-def rule_from_monitor(model, calib_scaled: Dataset, k_folds: int,
-                      rng: np.random.Generator, seed: int) -> RejectionRule:
-    """Rejection rule fitted to the monitor's cross-validated uncertainty on
-    a scaled calibration split; ``rng`` draws the folds and thetas."""
+def calibrate(model, calib_scaled: Dataset, k_folds: int, rng: np.random.Generator,
+              seed: int) -> tuple[CalibrationSet, RejectionRule]:
+    """The calibration scores of a scaled calibration split and the
+    rejection rule fitted to the monitor's cross-validated uncertainty on
+    it; ``rng`` draws the folds and thetas.  Returns ``(calib, rule)``."""
+    calib = calibration_scores(model, calib_scaled)
     lik = monitor_predict(model, calib_scaled)["likelihoods"]
     feats, errs = cv_uncertainty_labels(lik, calib_scaled.labels, k_folds, rng)
-    return train_rule(feats, errs, seed=seed)
+    return calib, train_rule(feats, errs, seed=seed)
 
 
 def draw_thetas(seed: int, n: int) -> np.ndarray:

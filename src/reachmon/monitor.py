@@ -13,9 +13,10 @@ from .nets import (
     TrainOpts,
     build_classifier_spec,
     build_estimator_spec,
-    classifier_step,
+    cross_entropy,
     fine_tune,
     fit,
+    loss_step,
     predict,
     train_classifier,
     train_estimator,
@@ -107,7 +108,7 @@ def continue_training(model: MonitorModel, train_scaled: Dataset,
     if model.kind == "end_to_end":
         net = model.nets["classifier"]
         # shuffle and dropout streams apart from the first training's
-        hist = fit([net], classifier_step(net, X, y), len(y),
+        hist = fit([net], loss_step(net, X, y, cross_entropy), len(y),
                    schedule.classifier, (0x5741, 0x4453))
         return {"loss_history": {"classifier": hist}}
     S = state_windows(train_scaled)

@@ -118,9 +118,6 @@ class Network:
     def grads(self):
         return [g for layer in self.layers for g in layer.grads]
 
-    def get_weights(self):
-        return [p.copy() for p in self.params]
-
     def set_weights(self, weights):
         for p, w in zip(self.params, weights, strict=True):
             if p.shape != w.shape:

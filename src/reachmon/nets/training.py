@@ -128,15 +128,14 @@ def fit(nets, step, n, opts: TrainOpts, streams):
     grads = [net.flat_grads for net in nets]
     history = []
     for epoch in range(opts.epochs):
-        total, count = 0.0, 0
+        total = 0.0
         order = shuffle_rng.permutation(n)
         for start in range(0, n, opts.batch_size):
             idx = order[start:start + opts.batch_size]
             loss = step(idx, drop_rng)
             adam.step(grads)
             total += loss * len(idx)
-            count += len(idx)
-        history.append(total / count)
+        history.append(total / n)
         if not np.isfinite(history[-1]):
             raise NumericalError(
                 f"training diverged at epoch {epoch}: loss={history[-1]!r}; "
@@ -144,13 +143,13 @@ def fit(nets, step, n, opts: TrainOpts, streams):
     return history
 
 
-def classifier_step(net: Network, X, y):
-    """Minibatch step of cross-entropy training of ``net`` for :func:`fit`."""
+def loss_step(net: Network, X, T, loss):
+    """Minibatch step of :func:`fit` that trains ``net`` on inputs ``X``
+    against targets ``T``; ``loss(out, target)`` returns (loss, dout)."""
     def step(idx, rng):
-        loss, dscores = cross_entropy(net.forward(X[idx], train=True, rng=rng),
-                                      y[idx])
-        net.backward(dscores)
-        return loss
+        value, dout = loss(net.forward(X[idx], train=True, rng=rng), T[idx])
+        net.backward(dout)
+        return value
     return step
 
 
@@ -160,7 +159,7 @@ def train_classifier(X, y, netspec: dict, opts: TrainOpts):
     net = Network(netspec, seed=opts.seed)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    return net, fit([net], classifier_step(net, X, y), len(y), opts,
+    return net, fit([net], loss_step(net, X, y, cross_entropy), len(y), opts,
                     _TRAIN_STREAMS)
 
 
@@ -169,12 +168,8 @@ def train_estimator(X, S, netspec: dict, opts: TrainOpts):
     net = Network(netspec, seed=opts.seed)
     X = np.asarray(X, dtype=np.float64)
     S = np.asarray(S, dtype=np.float64)
-
-    def step(idx, rng):
-        loss, dout = mse(net.forward(X[idx], train=True, rng=rng), S[idx])
-        net.backward(dout)
-        return loss
-    return net, fit([net], step, len(X), opts, _TRAIN_STREAMS)
+    return net, fit([net], loss_step(net, X, S, mse), len(X), opts,
+                    _TRAIN_STREAMS)
 
 
 def _combined_accuracy(nse: Network, nsc: Network, X, y):
@@ -205,7 +200,7 @@ def fine_tune(nse: Network, nsc: Network, X, S, y, opts: TrainOpts):
     n_guard = max(1, int(len(y) * 0.1)) if len(y) else 0
     guard, train_rows = order[:n_guard], order[n_guard:]
 
-    saved = (nse.get_weights(), nsc.get_weights())
+    saved = (nse.flat_params.copy(), nsc.flat_params.copy())
     acc_before = _combined_accuracy(nse, nsc, X[guard], y[guard])
 
     def step(idx, rng):
@@ -226,8 +221,8 @@ def fine_tune(nse: Network, nsc: Network, X, S, y, opts: TrainOpts):
     acc_after = _combined_accuracy(nse, nsc, X[guard], y[guard])
     reverted = False
     if diverged or acc_after < acc_before - 0.005:
-        nse.set_weights(saved[0])
-        nsc.set_weights(saved[1])
+        nse.flat_params[...] = saved[0]
+        nsc.flat_params[...] = saved[1]
         reverted = True
     return {"loss_history": history, "guard_acc_before": acc_before,
             "guard_acc_after": acc_after, "reverted": reverted,

@@ -23,15 +23,8 @@ from .config import ExperimentConfig
 from .conformal import CalibrationSet
 from .data import Dataset, Scaler, gen_independent, gen_sequential, load, save, scale, split
 from .detect import RejectionRule, check_folds
-from .errors import ConfigError, InsufficientData, MissingArtifact
-from .evaluate import (
-    RULE_STREAM,
-    calibration_scores,
-    dataset_hash,
-    draw_thetas,
-    full_report,
-    rule_from_monitor,
-)
+from .errors import ConfigError, InsufficientData, IntegrityError, MissingArtifact
+from .evaluate import RULE_STREAM, calibrate, dataset_hash, draw_thetas, full_report
 # unused here, but perfbench/selftest.py patches pipeline.monitor_predict
 from .monitor import TrainSchedule, monitor_predict, obs_windows, train_monitor
 from .nets import load_model, save_model
@@ -139,15 +132,13 @@ def cmd_train(cfg: ExperimentConfig) -> str:
                                         cfg.n_test, rng)
     scaler = Scaler.fit(train_ds)
     train_scaled = scale(train_ds, scaler)
-    calib_scaled = scale(calib_ds, scaler)
 
     schedule = TrainSchedule.for_profile(cfg.profile, seed=cfg.seed,
                                          epochs_scale=cfg.epochs_scale)
     monitor = train_monitor(train_scaled, cfg.approach, schedule)
-    calib = calibration_scores(monitor, calib_scaled)
-    rule = rule_from_monitor(monitor, calib_scaled, cfg.k_folds,
-                             np.random.default_rng([cfg.seed, RULE_STREAM]),
-                             cfg.seed)
+    calib, rule = calibrate(monitor, scale(calib_ds, scaler), cfg.k_folds,
+                            np.random.default_rng([cfg.seed, RULE_STREAM]),
+                            cfg.seed)
 
     bundle = cfg.out
     save(train_ds, os.path.join(bundle, "datasets", "train"))
@@ -177,7 +168,8 @@ _RUN_KEYS = ("model", "mode", "approach", "profile", "seed")
 
 class Bundle:
     """In-memory view of a bundle directory; a ``bundle.json`` that is not
-    JSON or lacks a key raises ``IntegrityError``."""
+    JSON, lacks a key or holds a value that does not load, or a calibration
+    container without scores, raises ``IntegrityError``."""
 
     def __init__(self, path):
         meta_path = os.path.join(path, "bundle.json")
@@ -187,10 +179,16 @@ class Bundle:
         require_keys(self.meta, ("scaler", "rule", *_RUN_KEYS), meta_path)
         self.path = path
         self.monitor = load_model(os.path.join(path, "checkpoint"))
-        cal_meta, cal_arrays = load_container(os.path.join(path, "calibration"))
+        cal_path = os.path.join(path, "calibration")
+        _, cal_arrays = load_container(cal_path)
+        require_keys(cal_arrays, ("scores",), cal_path)
         self.calib = CalibrationSet(cal_arrays["scores"])
-        self.scaler = Scaler.from_dict(self.meta["scaler"])
-        self.rule = RejectionRule.from_dict(self.meta["rule"])
+        try:
+            self.scaler = Scaler.from_dict(self.meta["scaler"])
+            self.rule = RejectionRule.from_dict(self.meta["rule"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IntegrityError(f"{meta_path}: malformed scaler or rule: "
+                                 f"{exc!r}") from None
         self.train_ds = load(os.path.join(path, "datasets", "train"))
         self.calib_ds = load(os.path.join(path, "datasets", "calib"))
         self.test_ds = load(os.path.join(path, "datasets", "test"))
@@ -202,11 +200,17 @@ class Bundle:
     @classmethod
     def open(cls, cfg: ExperimentConfig, command: str):
         """The bundle ``cfg`` names, and a copy of ``cfg`` with the model,
-        mode, approach, profile and seed the bundle was trained with."""
+        mode, approach, profile and seed the bundle was trained with; a run
+        value that the config would reject raises ``IntegrityError``."""
         if not cfg.bundle:
             raise ConfigError(f"{command} requires --bundle")
         b = cls(cfg.bundle)
-        return b, replace(cfg, **{k: b.meta[k] for k in _RUN_KEYS})
+        try:
+            run = ExperimentConfig(**{k: b.meta[k] for k in _RUN_KEYS}).validate()
+        except (ConfigError, TypeError, AttributeError) as exc:
+            raise IntegrityError(f"{os.path.join(cfg.bundle, 'bundle.json')}: "
+                                 f"{exc}") from None
+        return b, replace(cfg, **{k: getattr(run, k) for k in _RUN_KEYS})
 
 
 # --- eval ---------------------------------------------------------------------
@@ -242,8 +246,7 @@ def cmd_active(cfg: ExperimentConfig) -> list:
                                          epochs_scale=cfg.epochs_scale)
     state = ALState(monitor=b.monitor, calib=b.calib, rule=b.rule,
                     train_ds=b.train_ds, calib_ds=b.calib_ds, scaler=b.scaler,
-                    approach=cfg.approach, schedule=schedule, seed=cfg.seed,
-                    k_folds=cfg.k_folds)
+                    schedule=schedule, seed=cfg.seed, k_folds=cfg.k_folds)
     for it in range(cfg.iters):
         pool = gen_independent(spec, cfg.pool,
                                seed=int(np.random.default_rng(

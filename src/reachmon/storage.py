@@ -78,8 +78,9 @@ def load_container(path):
 
     Raises :class:`MissingArtifact` when the directory or meta file is
     absent and :class:`IntegrityError` on version or checksum mismatch, on a
-    missing meta key, or when an array's dtype is unknown or its shape does
-    not fit its bytes (the checksum covers the data, not the meta).
+    missing meta key or a ``meta`` or array entry that is not an object, or
+    when an array's dtype is unknown or its shape does not fit its bytes
+    (the checksum covers the data, not the meta).
     """
     meta_path = os.path.join(path, "meta.json")
     if not os.path.isfile(meta_path):
@@ -89,6 +90,9 @@ def load_container(path):
         raise IntegrityError(
             f"{path}: format version {doc.get('format_version')} != {FORMAT_VERSION}")
     require_keys(doc, ("meta", "arrays"), meta_path)
+    if not isinstance(doc["meta"], dict) or not isinstance(doc["arrays"], dict) \
+            or not all(isinstance(e, dict) for e in doc["arrays"].values()):
+        raise IntegrityError(f"{meta_path}: meta and arrays must be objects")
     arrays = {}
     for name, entry in doc["arrays"].items():
         require_keys(entry, ("file", "sha256", "dtype", "shape"),

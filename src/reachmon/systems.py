@@ -1,11 +1,12 @@
 """Discrete-time deterministic hybrid systems with noisy observation.
 
 A system is described by a :class:`HybridSystemSpec` holding vectorized
-callables for the mode-dependent continuous dynamics, the control law, the
-jump/reset rule, the observation map and the unsafe-set predicate.  One
-transition integrates the dynamics over ``dt`` with a fixed-step classic
-Runge-Kutta scheme, holding the control computed at the step start constant,
-and then applies the jump rule once to the post-integration state.
+callables for the mode-dependent continuous dynamics ``drift(V, A, Q)``, the
+control law, the jump/reset rule, the observation map and the unsafe-set
+predicate.  One transition integrates the dynamics over ``dt`` with a
+fixed-step classic Runge-Kutta scheme, holding the control computed at the
+step start constant, and then applies the jump rule once to the
+post-integration state.
 :func:`flow` is the one integrator: :func:`step_batch` (reach labels, the
 UKF) and dataset generation both call it.
 
@@ -30,7 +31,7 @@ class HybridSystemSpec:
 
     The callables are batched:
 
-    - ``drift(V, A, t, Q) -> dV``       continuous dynamics per mode
+    - ``drift(V, A, Q) -> dV``          continuous dynamics per mode
     - ``control(V, Q) -> A``            control input, held constant per step
     - ``observe_fn(V, Q) -> Y``         noise-free observation map
     - ``jump(V, Q) -> (V', Q')``        resets / mode switches, applied once
@@ -77,31 +78,31 @@ class HybridSystemSpec:
         return self.past_horizon + 1
 
 
-def _rk4(spec, V, A, Q, t, h):
-    k1 = spec.drift(V, A, t, Q)
-    k2 = spec.drift(V + 0.5 * h * k1, A, t + 0.5 * h, Q)
-    k3 = spec.drift(V + 0.5 * h * k2, A, t + 0.5 * h, Q)
-    k4 = spec.drift(V + h * k3, A, t + h, Q)
+def _rk4(spec, V, A, Q, h):
+    k1 = spec.drift(V, A, Q)
+    k2 = spec.drift(V + 0.5 * h * k1, A, Q)
+    k3 = spec.drift(V + 0.5 * h * k2, A, Q)
+    k4 = spec.drift(V + h * k3, A, Q)
     return V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def flow(spec: HybridSystemSpec, V: np.ndarray, Q: np.ndarray, t: float,
+def flow(spec: HybridSystemSpec, V: np.ndarray, Q: np.ndarray,
          substeps: int = 1) -> np.ndarray:
     """Continuous part of one transition for a batch of states: control is
-    evaluated at the step start ``t`` and held over ``substeps`` Runge-Kutta
+    evaluated at the step start and held over ``substeps`` Runge-Kutta
     steps of ``dt / substeps``.  Sub-steps only refine the frozen-input flow;
     the control/jump cadence is part of the discrete-time model."""
     A = spec.control(V, Q)
     h = spec.dt / substeps
-    for i in range(substeps):
-        V = _rk4(spec, V, A, Q, t + i * h, h)
+    for _ in range(substeps):
+        V = _rk4(spec, V, A, Q, h)
     return V
 
 
 def step_batch(spec: HybridSystemSpec, V: np.ndarray, Q: np.ndarray):
-    """One transition for a batch of states: :func:`flow` from time 0, which
-    must stay finite, then the jump rule once; returns ``(V', Q')``."""
-    V1 = flow(spec, V, Q, 0.0)
+    """One transition for a batch of states: :func:`flow`, which must stay
+    finite, then the jump rule once; returns ``(V', Q')``."""
+    V1 = flow(spec, V, Q)
     if not np.isfinite(V1).all():
         raise IntegrationDiverged(f"{spec.name}: non-finite state after integration")
     return spec.jump(V1, Q)

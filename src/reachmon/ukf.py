@@ -141,7 +141,7 @@ def ukf_estimate(spec: HybridSystemSpec, obs, cfg: UKFConfig | None = None
                 except IntegrationDiverged:
                     # drop the hypotheses with a non-finite sigma point and
                     # apply the jump rule to the rest
-                    V = flow(spec, V, Qs, 0.0)
+                    V = flow(spec, V, Qs)
                     ok = np.isfinite(V).reshape(len(hyp), K * n).all(axis=1)
                     hyp, q, loglik = hyp[ok], q[ok], loglik[ok]
                     rows = np.repeat(ok, K)

@@ -57,12 +57,12 @@ def draw_states(spec, n, seed=0):
 
 
 def rollout(spec, V, Q, n_steps, substeps=1):
-    """``n_steps`` transitions of a batch: the flow from time ``k * dt``,
-    refined by ``substeps``, then the jump rule.  Returns
-    ``(n_steps + 1, B, state_dim)`` states and ``(n_steps + 1, B)`` modes."""
+    """``n_steps`` transitions of a batch: the flow refined by ``substeps``,
+    then the jump rule.  Returns ``(n_steps + 1, B, state_dim)`` states and
+    ``(n_steps + 1, B)`` modes."""
     Vs, Qs = [V], [Q]
-    for k in range(n_steps):
-        V, Q = spec.jump(flow(spec, V, Q, k * spec.dt, substeps), Q)
+    for _ in range(n_steps):
+        V, Q = spec.jump(flow(spec, V, Q, substeps), Q)
         Vs.append(V)
         Qs.append(Q)
     return np.stack(Vs), np.stack(Qs)

@@ -44,8 +44,7 @@ def _fresh_state(s, rule=None):
     return ALState(monitor=s["monitor"], calib=s["calibset"],
                    rule=rule if rule is not None else s["rule"],
                    train_ds=s["train"], calib_ds=s["calib"],
-                   scaler=s["scaler"], approach="end_to_end",
-                   schedule=s["schedule"], seed=21)
+                   scaler=s["scaler"], schedule=s["schedule"], seed=21)
 
 
 def _constant_rule(reject_all):
@@ -140,20 +139,19 @@ class TestRetrainRecord:
         s = al_setup
         sched = TrainSchedule.for_profile("desk", seed=21, epochs_scale=0.05)
         monitor = train_monitor(scale(s["train"], s["scaler"]), "two_step", sched)
-        weights = monitor.nets["nse"].get_weights()
+        weights = monitor.nets["nse"].flat_params.copy()
         sched.finetune.lr, sched.finetune.epochs = 1e120, 2
         calib = calibration_scores(monitor, scale(s["calib"], s["scaler"]))
         state = ALState(monitor=monitor, calib=calib,
                         rule=_constant_rule(True), train_ds=s["train"],
                         calib_ds=s["calib"], scaler=s["scaler"],
-                        approach="two_step", schedule=sched, seed=21)
+                        schedule=sched, seed=21)
         with np.errstate(all="ignore"):
             state = al_iteration(state, s["pool"], s["test"], [0.05])
         rec = state.history[0]["retrain"]
         assert rec["finetune"]["diverged"] and rec["finetune"]["reverted"]
         assert not np.isfinite(rec["loss_history"]["finetune"][-1])
-        for a, b in zip(state.monitor.nets["nse"].get_weights(), weights):
-            assert np.array_equal(a, b)
+        assert np.array_equal(state.monitor.nets["nse"].flat_params, weights)
 
 
 class TestContinueTraining:

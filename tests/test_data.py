@@ -238,8 +238,8 @@ class TestGenBitExact:
     def test_retried_samples_match_reference(self, ip_spec, mode):
         base = ip_spec.drift
 
-        def drift(V, A, t, Q):  # diverges once theta passes 0.5
-            out = base(V, A, t, Q)
+        def drift(V, A, Q):  # diverges once theta passes 0.5
+            out = base(V, A, Q)
             out[V[:, 0] > 0.5] = np.inf
             return out
 
@@ -302,6 +302,23 @@ class TestScaling:
         got = Scaler._apply(x, lo, hi)
         assert got.dtype == np.float64 and np.array_equal(got, want)
         assert (got[..., 1] == 0.0).all() == degenerate
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_invert_matches_masked_formula(self, degenerate):
+        # the former masked form: degenerate dimensions give back ``lo``
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-1.0, 1.0, size=(50, 6, 3))
+        lo = rng.normal(size=3) * 4.0
+        hi = lo + rng.uniform(0.5, 3.0, size=3)
+        if degenerate:
+            hi[1] = lo[1]
+        span = hi - lo
+        ok = span > 0
+        want = np.broadcast_to(lo, x.shape).copy()
+        want[..., ok] = lo[ok] + (x[..., ok] + 1.0) * span[ok] / 2.0
+        got = Scaler._invert(x, lo, hi)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert (got[..., 1] == lo[1]).all() == degenerate
 
     def test_fit_covers_data(self, small_ip_splits):
         tr = small_ip_splits["train_scaled"]

@@ -662,7 +662,7 @@ class TestFlatParameters:
     def test_views_survive_set_weights(self):
         net, other = self._group()[0], make_net(
             build_estimator_spec(2, 3, 4, "desk"), seed=9)
-        net.set_weights(other.get_weights())
+        net.set_weights(other.params)
         assert_flat_views(net)
         assert np.array_equal(net.flat_params, other.flat_params)
 

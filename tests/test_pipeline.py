@@ -522,6 +522,47 @@ class TestMalformedBundleJson:
         assert key is None or f"missing key {key!r}" in err
         assert not (bundle / "reports").exists()
 
+    # the first three ended eval in an uncaught TypeError, KeyError and
+    # ValueError; the last three ran and exited 0
+    @pytest.mark.parametrize("key, value", [
+        ("scaler", {}), ("rule", {}), ("seed", "abc"), ("seed", "3"),
+        ("mode", "diagonal"), ("model", 5)],
+        ids=["scaler-empty", "rule-empty", "seed-abc", "seed-str", "mode",
+             "model-number"])
+    def test_bad_value_exits_with_integrity_error(self, sn_bundle, tmp_path,
+                                                  capsys, key, value):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(sn_bundle, bundle)
+        meta_path = bundle / "bundle.json"
+        doc = json.loads(meta_path.read_text())
+        doc[key] = value
+        meta_path.write_text(json.dumps(doc))
+        assert cli.main(["eval", "--bundle", str(bundle)]) == cli.EXIT_INTEGRITY
+        assert "bundle.json" in capsys.readouterr().err
+        assert not (bundle / "reports").exists()
+
+
+class TestMalformedCalibration:
+    # the first, second and last ended eval in an uncaught KeyError,
+    # AttributeError and TypeError; the third ran and exited 0
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["arrays"].pop("scores"),
+        lambda doc: doc.update(arrays=[]),
+        lambda doc: doc.update(meta=[]),
+        lambda doc: doc["arrays"].update(scores=5)],
+        ids=["scores-deleted", "arrays-list", "meta-list", "entry-number"])
+    def test_eval_exits_with_integrity_error(self, sn_bundle, tmp_path, capsys,
+                                             edit):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(sn_bundle, bundle)
+        meta_path = bundle / "calibration" / "meta.json"
+        doc = json.loads(meta_path.read_text())
+        edit(doc)
+        meta_path.write_text(json.dumps(doc))
+        assert cli.main(["eval", "--bundle", str(bundle)]) == cli.EXIT_INTEGRITY
+        assert "calibration" in capsys.readouterr().err
+        assert not (bundle / "reports").exists()
+
 
 @pytest.fixture(scope="class")
 def lalo_bundle(tmp_path_factory):

@@ -48,7 +48,7 @@ class TestStep:
 
         def f(v):
             V = v[None, :]
-            return spec.drift(V, None, 0.0, np.zeros(1, dtype=np.int64))[0]
+            return spec.drift(V, None, np.zeros(1, dtype=np.int64))[0]
 
         expected = rk4_oracle(f, v0, spec.dt, 10)
         got = step_batch(spec, *one(v0))[0][0]
@@ -146,6 +146,45 @@ class TestSampleInitial:
     def test_mean_concentration(self, ip_spec):
         V, _ = draw_states(ip_spec, 10_000, seed=5)
         assert abs(V[:, 0].mean()) < 0.02
+
+
+class TestTwtModes:
+    """``jump`` and ``init_mode`` against a per-bit reference: every mode,
+    and levels below, on and inside the pump band's edges, above it and NaN."""
+
+    LEVELS = [4.0, TWT_PARAMS["pump_on_level"], 5.0,
+              TWT_PARAMS["pump_off_level"], 6.0, np.nan]
+
+    def _grid(self):
+        levels = np.array(self.LEVELS)
+        V = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"),
+                     axis=-1).reshape(-1, 3)
+        V = np.repeat(V, 8, axis=0)
+        Q = np.tile(np.arange(8, dtype=np.int64), len(V) // 8)
+        return V, Q
+
+    def test_jump_matches_per_bit_reference(self, twt_spec):
+        V, Q = self._grid()
+        want = []
+        for v, q in zip(V, Q):
+            mode = 0
+            for i in range(3):
+                bit = (int(q) >> i) & 1
+                if v[i] <= TWT_PARAMS["pump_on_level"]:
+                    bit = 1
+                elif v[i] >= TWT_PARAMS["pump_off_level"]:
+                    bit = 0
+                mode |= bit << i
+            want.append(mode)
+        V1, Q1 = twt_spec.jump(V, Q)
+        assert Q1.dtype == np.int64 and np.array_equal(Q1, want)
+        assert np.array_equal(V1, V, equal_nan=True)
+
+    def test_init_mode_matches_per_bit_reference(self, twt_spec):
+        V, _ = self._grid()
+        want = [sum(int(v[i] < 5.0) << i for i in range(3)) for v in V]
+        Q = twt_spec.init_mode(V)
+        assert Q.dtype == np.int64 and np.array_equal(Q, want)
 
 
 class TestIPControlBranches:

@@ -12,8 +12,8 @@ from reachmon.ukf import UKFConfig, relative_error, ukf_estimate
 
 
 def _nan_drift(spec, bad_modes):
-    def drift(V, A, t, Q):
-        dV = spec.drift(V, A, t, Q)
+    def drift(V, A, Q):
+        dV = spec.drift(V, A, Q)
         dV[np.isin(Q, list(bad_modes))] = np.nan
         return dV
     return drift
