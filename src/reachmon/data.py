@@ -9,7 +9,10 @@ trajectories and therefore stay temporally correlated.
 Randomness is organized as one substream per sample (or per trajectory),
 derived from ``(seed, index, attempt)``, so generation is order-independent,
 parallelizable and reproducible: permuting the generation order yields the
-same multiset of samples.
+same multiset of samples.  A substream draws what
+``np.random.default_rng([seed, index, attempt, stream])`` draws: the
+SeedSequence hash of every sample in a draw is computed at once on uint32
+arrays, and each sample's PCG64 is seeded from its row of the result.
 
 Datasets are persisted unscaled, in physical units, as float32 containers;
 :func:`scale` produces an in-memory float64 working copy mapped onto
@@ -19,6 +22,7 @@ split only.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, replace
 
@@ -188,11 +192,81 @@ def seed_words(seed) -> list:
     return [(seed >> k) & 0xFFFFFFFF for k in range(0, seed.bit_length() or 1, 32)]
 
 
-def _substream(words, index, attempt, stream):
-    """The generator of ``default_rng([seed, index, attempt, stream])``,
-    seeded from one uint32 array, which is cheaper to coerce."""
-    return np.random.default_rng(
-        np.array([*words, index, attempt, stream], dtype=np.uint32))
+# numpy's SeedSequence hash (O'Neill's seed_seq alternative), word for word
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_WORDS = 4
+
+
+def _hashmix(init, mult):
+    """numpy's ``hashmix`` with its running constant started at ``init``;
+    the constants do not depend on the value, so one call hashes a column."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value *= const
+        return value ^ value >> _XSHIFT
+    return hashmix
+
+
+def _mix(x, y):
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ out >> _XSHIFT
+
+
+def _seed_states(words, indices, attempts, stream):
+    """``(n, 4)`` uint64; row ``r`` equals ``SeedSequence([*words,
+    indices[r], attempts[r], stream]).generate_state(4, np.uint64)``, the
+    words PCG64 seeds itself from.  Every row is hashed at once, as uint32
+    columns."""
+    n = len(indices)
+    entropy = [np.full(n, w, np.uint32) for w in words] + [
+        np.asarray(indices).astype(np.uint32),
+        np.asarray(attempts).astype(np.uint32), np.full(n, stream, np.uint32)]
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(e) for e in entropy[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], hashmix(e))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    state = np.empty((n, 2 * _POOL_WORDS), "<u4")
+    for i in range(2 * _POOL_WORDS):
+        state[:, i] = hashmix(pool[i % _POOL_WORDS])
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _generator_factory():
+    """``state -> Generator(PCG64(s))`` where ``s.generate_state`` returns
+    the C-contiguous uint64 row ``state`` (PCG64 reads its raw buffer).
+    Built on first use, so importing reachmon does not import numpy.random."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class State(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return lambda state: Generator(PCG64(State(state)))
+
+
+def _substreams(seed, indices, attempts, stream):
+    """The generators of ``default_rng([seed, indices[r], attempts[r],
+    stream])`` for every row ``r``, from one :func:`_seed_states` pass."""
+    make = _generator_factory()
+    return map(make, _seed_states(seed_words(seed), indices, attempts, stream))
 
 
 def _draw_initials(spec, seed, indices, attempts):
@@ -203,20 +277,23 @@ def _draw_initials(spec, seed, indices, attempts):
     ``Generator.uniform(lo, hi)``; the spec guarantees a finite range.
     """
     span = spec.init_hi - spec.init_lo
-    words = seed_words(seed)
     U = np.empty((len(indices), spec.state_dim))
-    for row, (i, a) in enumerate(zip(indices, attempts)):
-        U[row] = _substream(words, i, a, _INIT_STREAM).random(spec.state_dim)
+    for row, rng in zip(U, _substreams(seed, indices, attempts, _INIT_STREAM)):
+        row[:] = rng.random(spec.state_dim)
     V = spec.init_lo + span * U
     return V, spec.init_mode(V)
 
 
-def _draw_noise(spec, seed, index, attempt, n_obs):
-    """``(n_obs, obs_dim)`` noise of one sample or trajectory from the
-    substream ``(seed, index, attempt, _NOISE_STREAM)``; ``normal(0, 1)``,
-    since ``standard_normal`` can differ in the sign of zero."""
-    rng = _substream(seed_words(seed), index, attempt, _NOISE_STREAM)
-    return rng.normal(0.0, 1.0, size=(n_obs, spec.obs_dim)) * spec.noise_std
+def _draw_noise(spec, seed, indices, attempts, n_obs):
+    """``(n, n_obs, obs_dim)`` noise of samples or trajectories ``indices``
+    at ``attempts``: row ``r`` comes from the substream ``(seed, indices[r],
+    attempts[r], _NOISE_STREAM)``; ``normal(0, 1)``, since
+    ``standard_normal`` can differ in the sign of zero."""
+    out = np.empty((len(indices), n_obs, spec.obs_dim))
+    for row, rng in zip(out, _substreams(seed, indices, attempts, _NOISE_STREAM)):
+        row[:] = rng.normal(0.0, 1.0, size=(n_obs, spec.obs_dim))
+    out *= spec.noise_std
+    return out
 
 
 def _generate(spec, mode, seed, n, n_states, keep, W):
@@ -245,9 +322,7 @@ def _generate(spec, mode, seed, n, n_states, keep, W):
         attempts[pending[~ok]] += 1
         pending = pending[~ok]
 
-    obs = np.empty((n, keep, spec.obs_dim))
-    for i in range(n):
-        obs[i] = _draw_noise(spec, seed, i, attempts[i], keep)
+    obs = _draw_noise(spec, seed, np.arange(n), attempts, keep)
     obs += spec.observe_fn(trajs.reshape(-1, spec.state_dim),
                            traj_modes.reshape(-1)).reshape(obs.shape)
     # kept state t of sequence i is row i * keep + t of the flattened arrays

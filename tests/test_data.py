@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from conftest import write_linear_file
 from reachmon import get_spec
 from reachmon.data import (
+    MAX_RETRIES,
     SEQUENCE_LEN,
     Dataset,
     Scaler,
     _draw_initials,
     _draw_noise,
+    _generator_factory,
+    _seed_states,
     _simulate_tolerant,
     gen_independent,
     gen_sequential,
@@ -231,7 +234,7 @@ class TestGenBitExact:
         V, Q = _draw_initials(spec, seed, idx, idx % 3)
         V_ref, Q_ref = _ref_initials(spec, seed, idx, idx % 3)
         assert np.array_equal(V, V_ref) and np.array_equal(Q, Q_ref)
-        assert np.array_equal(_draw_noise(spec, seed, 7, 2, 9),
+        assert np.array_equal(_draw_noise(spec, seed, [7], [2], 9)[0],
                               _ref_noise(spec, seed, 7, 2, 9))
 
     @pytest.mark.parametrize("mode", ["independent", "sequential"])
@@ -271,6 +274,55 @@ class TestGenBitExact:
         (2 ** 33 + 7, [7, 2]), (2 ** 64, [0, 0, 1]), (np.int64(9), [9])])
     def test_seed_words(self, seed, words):
         assert seed_words(seed) == words
+
+
+class TestSeedStates:
+    """The batched SeedSequence hash against numpy's, and the generators
+    seeded from it against ``default_rng``."""
+
+    # entropy of 4, 5 and 6 words; every attempt; the largest uint32 index
+    SEEDS = [0, 5, 2 ** 32 + 1, 2 ** 64 + 3]
+    INDICES = np.tile([0, 1, 7, 2 ** 32 - 1], MAX_RETRIES)
+    ATTEMPTS = np.repeat(np.arange(MAX_RETRIES), 4)
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_seed_sequence(self, seed, stream):
+        words = seed_words(seed)
+        got = _seed_states(words, self.INDICES, self.ATTEMPTS, stream)
+        ref = np.array([np.random.SeedSequence([*words, int(i), int(a), stream])
+                        .generate_state(4, np.uint64)
+                        for i, a in zip(self.INDICES, self.ATTEMPTS)])
+        assert got.dtype == np.uint64 and np.array_equal(got, ref)
+
+    def test_empty(self):
+        assert _seed_states([0], [], [], 0).shape == (0, 4)
+
+    @staticmethod
+    def _draws(rng):
+        return rng.random(3), rng.normal(0.0, 1.0, size=(4, 2))
+
+    def _same_draws(self, rows, seed, stream):
+        make = _generator_factory()
+        return all(
+            all(np.array_equal(x, y) for x, y in zip(
+                self._draws(make(row)),
+                self._draws(np.random.default_rng([seed, int(i), int(a), stream]))))
+            for row, i, a in zip(rows, self.INDICES, self.ATTEMPTS))
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("seed", [5, 2 ** 64 + 3])
+    def test_generators_draw_as_default_rng(self, seed, stream):
+        rows = _seed_states(seed_words(seed), self.INDICES, self.ATTEMPTS, stream)
+        assert self._same_draws(rows, seed, stream)
+
+    def test_strided_rows_fail_the_oracle(self):
+        # PCG64 reads the raw buffer of the state it is given, so a strided
+        # view seeds it from the words in between; the oracle must see that
+        rows = _seed_states(seed_words(5), self.INDICES, self.ATTEMPTS, 0)
+        wide = np.zeros((len(rows), 8), dtype=np.uint64)
+        wide[:, ::2] = rows
+        assert not self._same_draws(wide[:, ::2], 5, 0)
 
 
 class TestScaling:

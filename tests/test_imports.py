@@ -1,8 +1,11 @@
 """Every name a ``reachmon`` module imports is used in it or re-exported
-through its ``__all__``, so an import left behind by a deletion fails here."""
+through its ``__all__``, so an import left behind by a deletion fails here;
+and importing reachmon does not import ``numpy.random``."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +42,16 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=_module_name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == ALLOWED.get(_module_name(path), set())
+
+
+def test_import_leaves_numpy_random_unimported():
+    # numpy 2 imports numpy.random on first use; importing reachmon must not
+    # be that use, so the import time stays out of every first command.
+    # numpy 1 imports it with numpy, which this check then cannot see.
+    code = ("import sys, numpy\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "import reachmon, reachmon.pipeline, reachmon.cli\n"
+            "print(before, 'numpy.random' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=SRC.parent).stdout.split()
+    assert out[0] == "True" or out[1] == "False", out

@@ -120,12 +120,12 @@ class TestObserve:
 
     def test_zero_noise_deterministic(self, ip_spec):
         spec = replace(ip_spec, noise_std=0 * ip_spec.noise_std)
-        n1 = _draw_noise(spec, 1, 0, 0, 5)
-        n2 = _draw_noise(spec, 2, 0, 0, 5)
+        n1 = _draw_noise(spec, 1, [0], [0], 5)[0]
+        n2 = _draw_noise(spec, 2, [0], [0], 5)[0]
         assert np.array_equal(n1, n2) and (n1 == 0.0).all()
 
     def test_noise_statistics(self, twt_spec):
-        noise = _draw_noise(twt_spec, 3, 0, 0, 4000)
+        noise = _draw_noise(twt_spec, 3, [0], [0], 4000)[0]
         std = noise.std(axis=0)
         assert np.abs(std - twt_spec.noise_std).max() < 0.05 * twt_spec.noise_std.max() + 1e-3
 

@@ -229,7 +229,7 @@ class TestUkf:
         Vs, Qs, _ = _simulate_tolerant(spec, np.array([[29.5, 10.0]]),
                                        np.zeros(1, dtype=np.int64), spec.past_horizon)
         obs_seq = (spec.observe_fn(Vs[:, 0], Qs[:, 0])
-                   + _draw_noise(spec, 3, 0, 0, spec.window_len))
+                   + _draw_noise(spec, 3, [0], [0], spec.window_len)[0])
         est = ukf_estimate(spec, obs_seq[None])
         assert np.isfinite(est).all()
 
