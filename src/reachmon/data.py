@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,6 +109,10 @@ class Dataset:
     ``obs``: (N, H_p+1, obs_dim); ``states``: (N, H_p+1, state_dim);
     ``labels``: (N,); ``modes``: (N, H_p+1) discrete modes backing each
     state; ``traj_ids`` groups windows that share a source trajectory.
+    ``generation`` records how the windows were drawn: ``seq_len``, the
+    ``windows_per_traj`` of a sequential dataset and ``retries``, the number
+    of samples redrawn after a diverged simulation; subsets and
+    concatenations keep the record of the dataset they start from.
     """
 
     model_name: str
@@ -120,6 +124,7 @@ class Dataset:
     traj_ids: np.ndarray
     seed: int
     scaler: Scaler | None = None
+    generation: dict = field(default_factory=dict)
 
     @property
     def scaled(self):
@@ -337,6 +342,9 @@ def _generate(spec, mode, seed, n, n_states, keep, W):
         labels=reach_label_batch(spec, states[:, -1], modes[:, -1]),
         modes=modes.astype(np.int32),
         traj_ids=np.repeat(np.arange(n, dtype=np.int32), W), seed=seed,
+        generation={"seq_len": n_states - W + 1,
+                    "retries": int(np.count_nonzero(attempts)),
+                    **({"windows_per_traj": W} if mode == "sequential" else {})},
     )
 
 
@@ -428,13 +436,17 @@ def save(dataset: Dataset, path):
         "scaled": bool(dataset.scaled),
         "scaler": dataset.scaler.to_dict() if dataset.scaler else None,
         "counts": {"n": int(dataset.n)},
+        **dataset.generation,
     }
     save_container(path, meta, {k: getattr(dataset, k) for k in _DATASET_NDIM})
 
 
 def load(path) -> Dataset:
-    """The saved dataset; missing arrays or meta keys, or arrays that
-    disagree in dimensions, N or L, raise ``IntegrityError``."""
+    """The saved dataset; missing arrays or meta keys, arrays that disagree
+    in dimensions, N or L, or a generation record that is not integers
+    (``seq_len`` at least L, ``windows_per_traj`` at least 1), raise
+    ``IntegrityError``.  A dataset saved without the record loads with an
+    empty one."""
     meta, arrays = load_container(path)
     if meta.get("kind") != "dataset":
         raise ShapeError(f"{path} is not a dataset container")
@@ -445,7 +457,12 @@ def load(path) -> Dataset:
             or len({shapes[k][1] for k in ("obs", "states", "modes")}) != 1:
         raise IntegrityError(f"{path}: dataset arrays {shapes} do not agree")
     require_keys(meta, ("model_name", "mode", "seed", "scaler"), path)
+    lowest = {"seq_len": shapes["obs"][1], "windows_per_traj": 1, "retries": 0}
+    generation = {k: meta[k] for k in lowest if k in meta}
+    if any(type(v) is not int or v < lowest[k] for k, v in generation.items()):
+        raise IntegrityError(f"{path}: generation record {generation} is not "
+                             f"one of windows of {shapes['obs'][1]} states")
     return Dataset(
         model_name=meta["model_name"], mode=meta["mode"], seed=meta["seed"],
         scaler=Scaler.from_dict(meta["scaler"]) if meta["scaler"] else None,
-        **{k: arrays[k] for k in _DATASET_NDIM})
+        generation=generation, **{k: arrays[k] for k in _DATASET_NDIM})

@@ -21,7 +21,8 @@ from .active import ALState, al_iteration
 from .benchmarks import get_spec
 from .config import ExperimentConfig
 from .conformal import CalibrationSet
-from .data import Dataset, Scaler, gen_independent, gen_sequential, load, save, scale, split
+from .data import (SEQUENCE_LEN, Dataset, Scaler, gen_independent, gen_sequential,
+                   load, save, scale, split)
 from .detect import RejectionRule, check_folds
 from .errors import ConfigError, InsufficientData, IntegrityError, MissingArtifact
 from .evaluate import RULE_STREAM, calibrate, dataset_hash, draw_thetas, full_report
@@ -168,7 +169,8 @@ _RUN_KEYS = ("model", "mode", "approach", "profile", "seed")
 
 class Bundle:
     """In-memory view of a bundle directory; a ``bundle.json`` that is not
-    JSON, lacks a key or holds a value that does not load, or a calibration
+    JSON, lacks a key or holds a value that does not load, a scaler or rule
+    array whose length does not fit the checkpoint, or a calibration
     container without scores, raises ``IntegrityError``."""
 
     def __init__(self, path):
@@ -183,15 +185,34 @@ class Bundle:
         _, cal_arrays = load_container(cal_path)
         require_keys(cal_arrays, ("scores",), cal_path)
         self.calib = CalibrationSet(cal_arrays["scores"])
-        try:
-            self.scaler = Scaler.from_dict(self.meta["scaler"])
-            self.rule = RejectionRule.from_dict(self.meta["rule"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IntegrityError(f"{meta_path}: malformed scaler or rule: "
-                                 f"{exc!r}") from None
         self.train_ds = load(os.path.join(path, "datasets", "train"))
         self.calib_ds = load(os.path.join(path, "datasets", "calib"))
         self.test_ds = load(os.path.join(path, "datasets", "test"))
+        try:
+            self.scaler = Scaler.from_dict(self.meta["scaler"])
+            self.rule = RejectionRule.from_dict(self.meta["rule"])
+            self._check_shapes()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IntegrityError(f"{meta_path}: malformed scaler or rule: "
+                                 f"{exc!r}") from None
+
+    def _check_shapes(self):
+        """Raise ``ValueError`` unless each scaler array has one entry per
+        observation or state channel of the checkpoint and each rule array
+        one per rule feature; a short array would broadcast."""
+        nets = self.monitor.nets
+        obs = nets["nse" if "nse" in nets else "classifier"].spec["input_channels"]
+        # an end-to-end monitor sees no states; its scaler was fitted on the
+        # train split's
+        state = (nets["nsc"].spec["input_channels"] if "nsc" in nets
+                 else self.train_ds.state_dim)
+        want = {"obs_min": obs, "obs_max": obs, "state_min": state,
+                "state_max": state, "w": 2, "feat_mean": 2, "feat_std": 2}
+        arrays = {**vars(self.scaler), "w": self.rule.w,
+                  "feat_mean": self.rule.feat_mean, "feat_std": self.rule.feat_std}
+        bad = {k: arrays[k].shape for k, n in want.items() if arrays[k].shape != (n,)}
+        if bad:
+            raise ValueError(f"array shapes {bad}; the checkpoint needs {want}")
 
     @property
     def spec(self):
@@ -201,11 +222,15 @@ class Bundle:
     def open(cls, cfg: ExperimentConfig, command: str):
         """The bundle ``cfg`` names, and a copy of ``cfg`` with the model,
         mode, approach, profile and seed the bundle was trained with; a run
-        value that the config would reject raises ``IntegrityError``."""
+        value that the config would reject, or a seed that is not an
+        integer, raises ``IntegrityError``."""
         if not cfg.bundle:
             raise ConfigError(f"{command} requires --bundle")
         b = cls(cfg.bundle)
         try:
+            if type(b.meta["seed"]) is not int:
+                raise ConfigError(f"seed must be an integer, got "
+                                  f"{b.meta['seed']!r}")
             run = ExperimentConfig(**{k: b.meta[k] for k in _RUN_KEYS}).validate()
         except (ConfigError, TypeError, AttributeError) as exc:
             raise IntegrityError(f"{os.path.join(cfg.bundle, 'bundle.json')}: "
@@ -247,8 +272,12 @@ def cmd_active(cfg: ExperimentConfig) -> list:
     state = ALState(monitor=b.monitor, calib=b.calib, rule=b.rule,
                     train_ds=b.train_ds, calib_ds=b.calib_ds, scaler=b.scaler,
                     schedule=schedule, seed=cfg.seed, k_folds=cfg.k_folds)
+    # the pool windows end as far from the initial box as the bundle's do:
+    # at its seq_len, or SEQUENCE_LEN for a dataset saved without one; a
+    # sequential bundle still gets independent windows
+    seq_len = b.train_ds.generation.get("seq_len", SEQUENCE_LEN)
     for it in range(cfg.iters):
-        pool = gen_independent(spec, cfg.pool,
+        pool = gen_independent(spec, cfg.pool, seq_len=seq_len,
                                seed=int(np.random.default_rng(
                                    [cfg.seed, 0x504F4F, it]).integers(2 ** 31)))
         state = al_iteration(state, pool, b.test_ds, cfg.eps,

@@ -237,19 +237,34 @@ class TestGenBitExact:
         assert np.array_equal(_draw_noise(spec, seed, [7], [2], 9)[0],
                               _ref_noise(spec, seed, 7, 2, 9))
 
-    @pytest.mark.parametrize("mode", ["independent", "sequential"])
-    def test_retried_samples_match_reference(self, ip_spec, mode):
-        base = ip_spec.drift
-
+    @staticmethod
+    def _diverging(spec):
         def drift(V, A, Q):  # diverges once theta passes 0.5
-            out = base(V, A, Q)
+            out = spec.drift(V, A, Q)
             out[V[:, 0] > 0.5] = np.inf
             return out
+        return replace(spec, drift=drift)
 
-        spec = replace(ip_spec, drift=drift)
-        ds, (ref, attempts) = _pair(spec, mode, 3)
+    @pytest.mark.parametrize("mode", ["independent", "sequential"])
+    def test_retried_samples_match_reference(self, ip_spec, mode):
+        ds, (ref, attempts) = _pair(self._diverging(ip_spec), mode, 3)
         assert attempts.max() >= 1
         _assert_same(ds, ref)
+
+    @pytest.mark.parametrize("mode", ["independent", "sequential"])
+    def test_retries_recorded(self, ip_spec, mode, tmp_path):
+        ds, (_, attempts) = _pair(self._diverging(ip_spec), mode, 3)
+        assert ds.generation["retries"] == np.count_nonzero(attempts) > 0
+        save(ds, tmp_path / "ds")
+        assert load(tmp_path / "ds").generation == ds.generation
+
+    @pytest.mark.parametrize("mode", ["independent", "sequential"])
+    def test_generation_record(self, ip_spec, mode):
+        ds, _ = _pair(ip_spec, mode, 3)
+        want = {"seq_len": SEQUENCE_LEN, "retries": 0}
+        if mode == "sequential":
+            want["windows_per_traj"] = 5
+        assert ds.generation == want
 
     @pytest.mark.parametrize("gen", [
         lambda spec, seed: gen_independent(spec, 4, seed=seed),
@@ -500,6 +515,21 @@ class TestPersistence:
         f.write_bytes(f.read_bytes()[:-8])
         with pytest.raises(IntegrityError):
             load(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("seq_len", "32"), ("seq_len", 1), ("seq_len", 32.0), ("retries", -1),
+        ("retries", True), ("windows_per_traj", 0)])
+    def test_bad_generation_record_rejected(self, small_ip_dataset, tmp_path,
+                                            key, value):
+        # ip windows are 2 states long, so a seq_len of 1 cannot be theirs
+        path = tmp_path / "ds"
+        save(replace(small_ip_dataset, generation={key: value}), path)
+        with pytest.raises(IntegrityError, match="generation record"):
+            load(path)
+
+    def test_record_absent_loads_empty(self, small_ip_dataset, tmp_path):
+        save(replace(small_ip_dataset, generation={}), tmp_path / "ds")
+        assert load(tmp_path / "ds").generation == {}
 
     def test_round_trip_speed(self, ip_spec, tmp_path):
         import time

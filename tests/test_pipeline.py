@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from conftest import write_linear_file
 
-from reachmon import active, cli, pipeline
+from reachmon import active, cli, get_spec, pipeline
 from reachmon.config import CHOICES, RANGES, ExperimentConfig, load_config
-from reachmon.data import scale
+from reachmon.data import SEQUENCE_LEN, gen_independent, scale
 from reachmon.errors import ConfigError
 from reachmon.evaluate import calibration_scores
 from reachmon.monitor import monitor_predict
@@ -540,6 +540,103 @@ class TestMalformedBundleJson:
         assert cli.main(["eval", "--bundle", str(bundle)]) == cli.EXIT_INTEGRITY
         assert "bundle.json" in capsys.readouterr().err
         assert not (bundle / "reports").exists()
+
+
+    # defect 11: eval ended the first two in an uncaught TypeError and
+    # ValueError and the third in a config error (exit 2); compare-se ran
+    # the fourth and reported a wrong nse_mean with exit 0
+    @pytest.mark.parametrize("command", ["eval", "compare-se"])
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(seed=3.5),
+        lambda doc: doc["rule"].update(w=doc["rule"]["w"][:1]),
+        lambda doc: doc["scaler"].update(obs_min=doc["scaler"]["obs_min"] + [0, 0]),
+        lambda doc: doc["scaler"].update(state_min=doc["scaler"]["state_min"][:1])],
+        ids=["seed-float", "rule-w-short", "obs_min-long", "state_min-short"])
+    def test_bad_length_or_type_exits_with_integrity_error(
+            self, sn_bundle, tmp_path, capsys, command, edit):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(sn_bundle, bundle)
+        meta_path = bundle / "bundle.json"
+        doc = json.loads(meta_path.read_text())
+        edit(doc)
+        meta_path.write_text(json.dumps(doc))
+        assert cli.main([command, "--bundle", str(bundle)]) == cli.EXIT_INTEGRITY
+        assert "bundle.json" in capsys.readouterr().err
+        assert not (bundle / "reports").exists()
+
+    def test_end_to_end_state_length_checked(self, ip_data, tmp_path, capsys):
+        # an end-to-end checkpoint has no state channels; the train split has
+        bundle = tmp_path / "bundle"
+        conf = tmp_path / "small.conf"
+        conf.write_text("epochs_scale = 0.05\nk_folds = 2\n")
+        assert cli.main(["train", "--data", str(ip_data), "--out", str(bundle),
+                         "--n-train", "180", "--n-calib", "100", "--n-test", "20",
+                         "--approach", "e2e", "--config", str(conf)]) == cli.EXIT_OK
+        meta_path = bundle / "bundle.json"
+        doc = json.loads(meta_path.read_text())
+        doc["scaler"]["state_max"] = doc["scaler"]["state_max"][:1]
+        meta_path.write_text(json.dumps(doc))
+        assert cli.main(["eval", "--bundle", str(bundle)]) == cli.EXIT_INTEGRITY
+        assert "state_max" in capsys.readouterr().err
+
+
+class TestActivePool:
+    """Defect 12: the pool is drawn at the seq_len of the bundle's data."""
+
+    @staticmethod
+    def _pool(tmp_path, monkeypatch, seq_len, edit=None):
+        """The first pool ``active`` draws on an ip bundle whose data was
+        generated at ``seq_len``; ``edit`` changes each split's meta."""
+        conf = tmp_path / "small.conf"
+        conf.write_text(f"epochs_scale = 0.05\nk_folds = 2\npool = 60\n"
+                        f"seq_len = {seq_len}\n")
+        data, bundle = str(tmp_path / "data"), tmp_path / "bundle"
+        common = ["--config", str(conf)]
+        assert cli.main(["gen", "--model", "ip", "--n", "300", "--out", data,
+                         *common]) == cli.EXIT_OK
+        assert cli.main(["train", "--data", data, "--out", str(bundle),
+                         "--n-train", "180", "--n-calib", "100",
+                         "--n-test", "20", *common]) == cli.EXIT_OK
+        for split in ("train", "calib", "test") if edit else ():
+            meta = bundle / "datasets" / split / "meta.json"
+            doc = json.loads(meta.read_text())
+            edit(doc["meta"])
+            meta.write_text(json.dumps(doc))
+        pools, real = [], pipeline.al_iteration
+
+        def capture(state, pool, *args, **kwargs):
+            pools.append(pool)
+            return real(state, pool, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "al_iteration", capture)
+        assert cli.main(["active", "--bundle", str(bundle), *common]) == cli.EXIT_OK
+        seed = int(np.random.default_rng([0, 0x504F4F, 0]).integers(2 ** 31))
+        return pools[0], seed
+
+    def test_gen_records_seq_len(self, tmp_path):
+        conf = tmp_path / "c.conf"
+        conf.write_text("seq_len = 8\n")
+        for name, flags in (("ind", []), ("seq", ["--mode", "seq", "--windows", "5"])):
+            out = tmp_path / name
+            assert cli.main(["gen", "--model", "ip", "--n", "10", *flags, "--out",
+                             str(out), "--config", str(conf)]) == cli.EXIT_OK
+            meta = json.loads((out / "meta.json").read_text())["meta"]
+            assert {k: meta.get(k) for k in ("seq_len", "windows_per_traj", "retries")} \
+                == {"seq_len": 8, "windows_per_traj": 5 if flags else None, "retries": 0}
+
+    def test_pool_drawn_at_dataset_seq_len(self, tmp_path, monkeypatch):
+        pool, seed = self._pool(tmp_path, monkeypatch, 8)
+        want = gen_independent(get_spec("ip"), 60, seq_len=8, seed=seed)
+        for key in ("obs", "states", "labels", "modes"):
+            assert np.array_equal(getattr(pool, key), getattr(want, key)), key
+        assert not np.array_equal(
+            pool.states, gen_independent(get_spec("ip"), 60, seed=seed).states)
+
+    def test_missing_seq_len_reads_as_32(self, tmp_path, monkeypatch):
+        pool, seed = self._pool(tmp_path, monkeypatch, 8,
+                                edit=lambda meta: meta.pop("seq_len"))
+        want = gen_independent(get_spec("ip"), 60, seq_len=SEQUENCE_LEN, seed=seed)
+        assert np.array_equal(pool.obs, want.obs)
 
 
 class TestMalformedCalibration:
