@@ -202,8 +202,8 @@ class Bundle:
         one per rule feature; a short array would broadcast."""
         nets = self.monitor.nets
         obs = nets["nse" if "nse" in nets else "classifier"].spec["input_channels"]
-        # an end-to-end monitor sees no states; its scaler was fitted on the
-        # train split's
+        # an end-to-end checkpoint has no state channels: the scaler's state
+        # arrays were fitted on the train split's
         state = (nets["nsc"].spec["input_channels"] if "nsc" in nets
                  else self.train_ds.state_dim)
         want = {"obs_min": obs, "obs_max": obs, "state_min": state,
