@@ -197,18 +197,22 @@ def seed_words(seed) -> list:
     return [(seed >> k) & 0xFFFFFFFF for k in range(0, seed.bit_length() or 1, 32)]
 
 
-# numpy's SeedSequence hash (O'Neill's seed_seq alternative), word for word
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_POOL_WORDS = 4
+# the constants of numpy's SeedSequence hash (O'Neill's seed_seq alternative)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
 
 
-def _hashmix(init, mult):
-    """numpy's ``hashmix`` with its running constant started at ``init``;
-    the constants do not depend on the value, so one call hashes a column."""
-    const = init
+def _seed_states(words, indices, attempts, stream):
+    """``(n, 4)`` uint64; row ``r`` equals ``SeedSequence([*words,
+    indices[r], attempts[r], stream]).generate_state(4, np.uint64)``, the
+    words PCG64 seeds itself from.  numpy's hash runs word by word, but its
+    running constant does not depend on the entropy, so each step hashes
+    one uint32 column of every row at once."""
+    n = len(indices)
+    entropy = [np.full(n, w, np.uint32) for w in words] + [
+        np.asarray(indices).astype(np.uint32),
+        np.asarray(attempts).astype(np.uint32), np.full(n, stream, np.uint32)]
+    const, mult = _INIT_A, _MULT_A
 
     def hashmix(value):
         nonlocal const
@@ -216,36 +220,23 @@ def _hashmix(init, mult):
         const = const * mult & 0xFFFFFFFF
         value *= const
         return value ^ value >> _XSHIFT
-    return hashmix
 
+    def mix(x, y):
+        out = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return out ^ out >> _XSHIFT
 
-def _mix(x, y):
-    out = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return out ^ out >> _XSHIFT
-
-
-def _seed_states(words, indices, attempts, stream):
-    """``(n, 4)`` uint64; row ``r`` equals ``SeedSequence([*words,
-    indices[r], attempts[r], stream]).generate_state(4, np.uint64)``, the
-    words PCG64 seeds itself from.  Every row is hashed at once, as uint32
-    columns."""
-    n = len(indices)
-    entropy = [np.full(n, w, np.uint32) for w in words] + [
-        np.asarray(indices).astype(np.uint32),
-        np.asarray(attempts).astype(np.uint32), np.full(n, stream, np.uint32)]
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-    pool = [hashmix(e) for e in entropy[:_POOL_WORDS]]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
+    pool = [hashmix(e) for e in entropy[:4]]   # a pool of 4 words
+    for src in range(4):
+        for dst in range(4):
             if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = _mix(pool[dst], hashmix(e))
-    hashmix = _hashmix(_INIT_B, _MULT_B)
-    state = np.empty((n, 2 * _POOL_WORDS), "<u4")
-    for i in range(2 * _POOL_WORDS):
-        state[:, i] = hashmix(pool[i % _POOL_WORDS])
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    const, mult = _INIT_B, _MULT_B
+    state = np.empty((n, 8), "<u4")   # 8 uint32 words make 4 uint64
+    for i in range(8):
+        state[:, i] = hashmix(pool[i % 4])
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
