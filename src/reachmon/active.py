@@ -18,7 +18,7 @@ from .conformal import CalibrationSet
 from .data import Dataset, Scaler, scale
 from .detect import RejectionRule, reject_batch
 from .evaluate import (QUERY_STREAM, RULE_STREAM, calibrate, cp_evaluate,
-                       dataset_hash, full_report)
+                       dataset_hash, full_report, metric_row)
 from .monitor import MonitorModel, TrainSchedule, continue_training, train_monitor
 
 
@@ -56,15 +56,6 @@ def _query_seed(state: ALState) -> int:
         [state.seed, QUERY_STREAM, state.iteration]).integers(2 ** 31))
 
 
-def _metric_row(report: dict, eps_list) -> dict:
-    row = {k: report[k] for k in
-           ("accuracy", "detection_rate", "rejection_rate", "n_errors")}
-    for eps in eps_list:
-        row[f"coverage@{eps}"] = report["per_eps"][float(eps)]["coverage"]
-        row[f"efficiency@{eps}"] = report["per_eps"][float(eps)]["efficiency"]
-    return row
-
-
 def al_iteration(state: ALState, pool_ds: Dataset, test_ds: Dataset,
                  eps_list, split_fraction: float = -1.0,
                  warm: bool = True) -> ALState:
@@ -89,7 +80,7 @@ def al_iteration(state: ALState, pool_ds: Dataset, test_ds: Dataset,
         # the same test split with the same seed
         before_row = state.history[-1]["after"]
     else:
-        before_row = _metric_row(
+        before_row = metric_row(
             full_report(state.monitor, state.calib, state.rule, test_scaled,
                         eps_list, seed=state.seed), eps_list)
     selected = query(state, pool_ds)
@@ -147,7 +138,7 @@ def al_iteration(state: ALState, pool_ds: Dataset, test_ds: Dataset,
 
     after = full_report(state.monitor, state.calib, state.rule,
                         test_scaled, eps_list, seed=state.seed)
-    row["after"] = _metric_row(after, eps_list)
+    row["after"] = metric_row(after, eps_list)
     row["n_train"], row["n_calib"] = state.train_ds.n, state.calib_ds.n
     row["ratio_before"] = float(row["n_train"] - len(to_train)) / max(
         1, row["n_calib"] - len(to_calib))

@@ -2,9 +2,9 @@
 
 Subcommands mirror the experiment workflow: ``gen``, ``train``, ``eval``,
 ``active``, ``anomaly``, ``compare-se``.  Options can also come from a
-``--config`` key-value file; explicit flags win.  Exit codes: 0 ok,
-2 configuration error, 3 missing artifact, 4 numeric failure, 5 integrity
-failure.
+``--config`` key-value file; explicit flags win.  Each error class of
+:mod:`reachmon.errors` carries the exit status and stderr prefix it ends a
+command with.
 """
 
 from __future__ import annotations
@@ -14,25 +14,24 @@ import sys
 from dataclasses import fields
 
 from . import pipeline
-from .config import ExperimentConfig, float_list, load_config
-from .errors import (
-    ConfigError,
-    FilterDiverged,
-    GenerationFailed,
-    InsufficientData,
-    IntegrationDiverged,
-    IntegrityError,
-    InvalidLikelihoods,
-    MissingArtifact,
-    NumericalError,
-    ShapeError,
-)
+from .config import CHOICES, ExperimentConfig, float_list, load_config
+from .errors import (ConfigError, IntegrityError, MissingArtifact, NumericalError,
+                     ReachmonError)
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_MISSING = 3
-EXIT_NUMERIC = 4
-EXIT_INTEGRITY = 5
+EXIT_CONFIG = ConfigError.exit_status
+EXIT_MISSING = MissingArtifact.exit_status
+EXIT_NUMERIC = NumericalError.exit_status
+EXIT_INTEGRITY = IntegrityError.exit_status
+
+
+def _default(dest, about="") -> str:
+    """Help text for the flag that sets field ``dest``: ``about`` (for a
+    choice field, the spellings it accepts) and the field's default."""
+    value = getattr(ExperimentConfig(), dest)
+    about = "|".join(CHOICES[dest]) if dest in CHOICES else about
+    value = ",".join(map(str, value)) if isinstance(value, list) else value
+    return f"{about} (default {value})" if about else f"default {value}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,53 +43,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a labeled dataset")
     g.add_argument("--model", required=True)
-    g.add_argument("--mode", help="ind|seq (default ind)")
+    g.add_argument("--mode", help=_default("mode"))
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=int, help="default 0")
+    g.add_argument("--seed", type=int, help=_default("seed"))
     g.add_argument("--windows", type=int, dest="windows_per_traj",
-                   metavar="WINDOWS", help="windows per trajectory (seq)")
+                   metavar="WINDOWS", help=_default(
+                       "windows_per_traj", "windows per trajectory in seq mode"))
     g.add_argument("--out", required=True)
-    g.add_argument("--config")
 
     t = sub.add_parser("train", help="train a monitor bundle from a dataset")
-    t.add_argument("--approach", help="e2e|two-step (default two-step)")
-    t.add_argument("--profile", help="desk|paper (default desk)")
+    t.add_argument("--approach", help=_default("approach"))
+    t.add_argument("--profile", help=_default("profile"))
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, help="default 0")
-    t.add_argument("--n-train", type=int)
-    t.add_argument("--n-calib", type=int)
-    t.add_argument("--n-test", type=int)
-    t.add_argument("--config")
+    t.add_argument("--seed", type=int, help=_default("seed"))
+    t.add_argument("--n-train", type=int, help=_default("n_train"))
+    t.add_argument("--n-calib", type=int, help=_default("n_calib"))
+    t.add_argument("--n-test", type=int, help=_default("n_test"))
 
     e = sub.add_parser("eval", help="conformal + detection report on a bundle")
     e.add_argument("--bundle", required=True)
-    e.add_argument("--eps", type=float_list,
-                   help="comma-separated list (default 0.05)")
-    e.add_argument("--config")
 
     a = sub.add_parser("active", help="active-learning iterations on a bundle")
     a.add_argument("--bundle", required=True)
-    a.add_argument("--pool", type=int, help="default 5000")
-    a.add_argument("--iters", type=int, help="default 1")
-    a.add_argument("--eps", type=float_list,
-                   help="comma-separated list (default 0.05)")
+    a.add_argument("--pool", type=int, help=_default("pool"))
+    a.add_argument("--iters", type=int, help=_default("iters"))
     a.add_argument("--cold", dest="warm", action="store_false", default=None,
                    help="retrain from scratch")
-    a.add_argument("--config")
 
     an = sub.add_parser("anomaly", help="clean vs noise-rescaled evaluation")
     an.add_argument("--bundle", required=True)
-    an.add_argument("--noise-scale", type=float, help="default 10")
-    an.add_argument("--eps", type=float_list,
-                    help="comma-separated list (default 0.05)")
-    an.add_argument("--config")
+    an.add_argument("--noise-scale", type=float, help=_default("noise_scale"))
 
     c = sub.add_parser("compare-se", help="neural estimator vs UKF")
     c.add_argument("--bundle", required=True)
     c.add_argument("--n-points", type=int, dest="n_se_points",
-                   metavar="N_POINTS")
-    c.add_argument("--config")
+                   metavar="N_POINTS", help=_default("n_se_points"))
+
+    # after each command's own flags: the ε list of the commands that report
+    # at each ε, and the config file of every command
+    for name, sp in sub.choices.items():
+        if name in ("eval", "active", "anomaly"):
+            sp.add_argument("--eps", type=float_list,
+                            help=_default("eps", "comma-separated list"))
+        sp.add_argument("--config")
     return p
 
 
@@ -125,38 +121,23 @@ def run(args) -> int:
                   f"{rec['before']['rejection_rate']:.4f} -> "
                   f"{rec['after']['rejection_rate']:.4f}")
     elif cmd == "anomaly":
-        out = pipeline.cmd_anomaly(cfg)
-        for setting in ("clean", "anomaly"):
-            det = out[setting]
+        for setting, det in pipeline.cmd_anomaly(cfg).items():
             print(f"{setting}: accuracy={det['accuracy']:.4f} "
                   f"rejection={det['rejection_rate']:.4f}")
-    elif cmd == "compare-se":
+    else:  # compare-se; argparse allows no other command
         rep = pipeline.cmd_compare_se(cfg)
         print(f"nse rel err {rep['nse_mean']:.4f} +- {rep['nse_std']:.4f}; "
               f"ukf rel err {rep['ukf_mean']:.4f} +- {rep['ukf_std']:.4f}")
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ConfigError(f"unknown command {cmd!r}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except (ConfigError, InsufficientData, ShapeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MissingArtifact as exc:
-        print(f"missing artifact: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except (NumericalError, IntegrationDiverged, FilterDiverged,
-            GenerationFailed, InvalidLikelihoods) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except IntegrityError as exc:
-        print(f"integrity failure: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
+    except ReachmonError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_status
 
 
 if __name__ == "__main__":

@@ -92,6 +92,17 @@ def full_report(model, calib: CalibrationSet, rule: RejectionRule,
     return det
 
 
+def metric_row(report: dict, eps_list) -> dict:
+    """A :func:`full_report` as one flat row: its rates and error count, and
+    ``coverage@<eps>`` and ``efficiency@<eps>`` for each ε of ``eps_list``."""
+    row = {k: report[k] for k in
+           ("accuracy", "detection_rate", "rejection_rate", "n_errors")}
+    for eps in eps_list:
+        row[f"coverage@{eps}"] = report["per_eps"][float(eps)]["coverage"]
+        row[f"efficiency@{eps}"] = report["per_eps"][float(eps)]["efficiency"]
+    return row
+
+
 def dataset_hash(ds: Dataset) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(ds.obs).tobytes())

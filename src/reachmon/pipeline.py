@@ -3,8 +3,8 @@
 Each command reads and writes versioned artifact directories: datasets
 (:mod:`reachmon.data` containers) and bundles, which gather the dataset
 splits, checkpoints, calibration scores, rejection rule and metrics of one
-trained monitor.  Reports are CSV rows with a fixed column schema plus JSON
-metric dumps; every row carries the config hash, seed and code version, and
+trained monitor.  A command's report is a JSON document and CSV rows read
+from it, both stamped with the config hash and code version by one writer;
 reruns with equal hashes are byte-identical.
 """
 
@@ -25,7 +25,8 @@ from .data import (SEQUENCE_LEN, Dataset, Scaler, gen_independent, gen_sequentia
                    load, save, scale, split)
 from .detect import RejectionRule, check_folds
 from .errors import ConfigError, InsufficientData, IntegrityError, MissingArtifact
-from .evaluate import RULE_STREAM, calibrate, dataset_hash, draw_thetas, full_report
+from .evaluate import (RULE_STREAM, calibrate, dataset_hash, draw_thetas,
+                       full_report, metric_row)
 # unused here, but perfbench/selftest.py patches pipeline.monitor_predict
 from .monitor import TrainSchedule, monitor_predict, obs_windows, train_monitor
 from .nets import load_model, save_model
@@ -61,12 +62,6 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _write_report(path, cfg: ExperimentConfig, doc):
-    """``doc`` stamped with the config hash and the code version."""
-    _write_json(path, {"config_hash": cfg.hash(), "code_version": CODE_VERSION,
-                       **doc})
-
-
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -75,19 +70,49 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _report_row(cfg: ExperimentConfig, setting, seed, eps, det) -> dict:
-    per = det["per_eps"][float(eps)]
-    return {
-        "model": cfg.model, "approach": cfg.approach, "setting": setting,
-        "seed": seed, "eps": eps,
-        "accuracy": det["accuracy"],
-        "detection": det["detection_rate"],
-        "fn": f"{det['fn_detected']}/{det['fn_total']}",
-        "fp": f"{det['fp_detected']}/{det['fp_total']}",
-        "rejection": det["rejection_rate"],
-        "coverage": per["coverage"], "efficiency": per["efficiency"],
-        "config_hash": cfg.hash(), "code_version": CODE_VERSION,
-    }
+def _stamp(cfg: ExperimentConfig) -> dict:
+    return {"config_hash": cfg.hash(), "code_version": CODE_VERSION}
+
+
+def _write_reports(bundle, name, cfg: ExperimentConfig, doc, rows,
+                   columns=REPORT_COLUMNS):
+    """``reports/<name>.json`` holding ``doc`` and ``reports/<name>.csv``
+    holding ``rows``, each stamped with the config hash and code version."""
+    stamp = _stamp(cfg)
+    path = os.path.join(bundle, "reports", name)
+    write_csv(path + ".csv", columns, [{**row, **stamp} for row in rows])
+    _write_json(path + ".json", {**stamp, **doc})
+
+
+def _report_rows(cfg: ExperimentConfig, setting, metrics, fn="-", fp="-") -> list:
+    """One :data:`REPORT_COLUMNS` row per ε of ``cfg`` from a flat metric
+    row (:func:`~reachmon.evaluate.metric_row`)."""
+    return [{"model": cfg.model, "approach": cfg.approach, "setting": setting,
+             "seed": cfg.seed, "eps": eps, "accuracy": metrics["accuracy"],
+             "detection": metrics["detection_rate"], "fn": fn, "fp": fp,
+             "rejection": metrics["rejection_rate"],
+             "coverage": metrics[f"coverage@{eps}"],
+             "efficiency": metrics[f"efficiency@{eps}"]} for eps in cfg.eps]
+
+
+def _detection_rows(cfg: ExperimentConfig, setting, det) -> list:
+    """:func:`_report_rows` of a full report, with its detected counts of
+    false negatives and false positives."""
+    fn, fp = (f"{det[k + '_detected']}/{det[k + '_total']}" for k in ("fn", "fp"))
+    return _report_rows(cfg, setting, metric_row(det, cfg.eps), fn, fp)
+
+
+def _schedule(cfg: ExperimentConfig) -> TrainSchedule:
+    return TrainSchedule.for_profile(cfg.profile, seed=cfg.seed,
+                                     epochs_scale=cfg.epochs_scale)
+
+
+def _save_monitor(out_dir, monitor, calib: CalibrationSet):
+    """The monitor's checkpoint and calibration scores under ``out_dir``."""
+    save_model(monitor, os.path.join(out_dir, "checkpoint"))
+    save_container(os.path.join(out_dir, "calibration"),
+                   {"kind": "calibration", "size": calib.size},
+                   {"scores": calib.scores})
 
 
 # --- gen ----------------------------------------------------------------------
@@ -134,9 +159,7 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     scaler = Scaler.fit(train_ds)
     train_scaled = scale(train_ds, scaler)
 
-    schedule = TrainSchedule.for_profile(cfg.profile, seed=cfg.seed,
-                                         epochs_scale=cfg.epochs_scale)
-    monitor = train_monitor(train_scaled, cfg.approach, schedule)
+    monitor = train_monitor(train_scaled, cfg.approach, _schedule(cfg))
     calib, rule = calibrate(monitor, scale(calib_ds, scaler), cfg.k_folds,
                             np.random.default_rng([cfg.seed, RULE_STREAM]),
                             cfg.seed)
@@ -145,12 +168,9 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     save(train_ds, os.path.join(bundle, "datasets", "train"))
     save(calib_ds, os.path.join(bundle, "datasets", "calib"))
     save(test_ds, os.path.join(bundle, "datasets", "test"))
-    save_model(monitor, os.path.join(bundle, "checkpoint"))
-    save_container(os.path.join(bundle, "calibration"),
-                   {"kind": "calibration", "size": calib.size},
-                   {"scores": calib.scores})
-    _write_report(os.path.join(bundle, "bundle.json"), cfg, {
-        "kind": "bundle", "model": cfg.model, "mode": dataset.mode,
+    _save_monitor(bundle, monitor, calib)
+    _write_json(os.path.join(bundle, "bundle.json"), {
+        **_stamp(cfg), "kind": "bundle", "model": cfg.model, "mode": dataset.mode,
         "approach": cfg.approach, "profile": cfg.profile, "seed": cfg.seed,
         "counts": {"train": train_ds.n, "calib": calib_ds.n, "test": test_ds.n},
         "scaler": scaler.to_dict(), "rule": rule.to_dict(),
@@ -246,18 +266,14 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     test_scaled = scale(b.test_ds, b.scaler)
     det = full_report(b.monitor, b.calib, b.rule, test_scaled, cfg.eps,
                       seed=cfg.seed)
-    rows = [_report_row(cfg, "initial", cfg.seed, eps, det) for eps in cfg.eps]
-    write_csv(os.path.join(b.path, "reports", "eval.csv"), REPORT_COLUMNS, rows)
-    sweep = [{"eps": eps,
-              "coverage": det["per_eps"][float(eps)]["coverage"],
-              "efficiency": det["per_eps"][float(eps)]["efficiency"]}
-             for eps in cfg.eps]
-    write_csv(os.path.join(b.path, "reports", "sweep.csv"),
-              ["eps", "coverage", "efficiency"], sweep)
-    _write_report(os.path.join(b.path, "reports", "eval.json"), cfg, {
+    _write_reports(b.path, "eval", cfg, {
         "seed": cfg.seed, "metrics": det,
         "thetas": draw_thetas(cfg.seed, test_scaled.n),
-    })
+    }, _detection_rows(cfg, "initial", det))
+    # the ε columns alone; ``perfbench/workloads.py: REPORTS`` lists the file
+    write_csv(os.path.join(b.path, "reports", "sweep.csv"),
+              ["eps", "coverage", "efficiency"],
+              [{"eps": eps, **per} for eps, per in det["per_eps"].items()])
     return det
 
 
@@ -266,50 +282,29 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
 def cmd_active(cfg: ExperimentConfig) -> list:
     """Run active-learning iterations on a bundle; returns the history."""
     b, cfg = Bundle.open(cfg, "active")
-    spec = b.spec
-    schedule = TrainSchedule.for_profile(cfg.profile, seed=cfg.seed,
-                                         epochs_scale=cfg.epochs_scale)
     state = ALState(monitor=b.monitor, calib=b.calib, rule=b.rule,
                     train_ds=b.train_ds, calib_ds=b.calib_ds, scaler=b.scaler,
-                    schedule=schedule, seed=cfg.seed, k_folds=cfg.k_folds)
+                    schedule=_schedule(cfg), seed=cfg.seed, k_folds=cfg.k_folds)
     # the pool windows end as far from the initial box as the bundle's do:
     # at its seq_len, or SEQUENCE_LEN for a dataset saved without one; a
     # sequential bundle still gets independent windows
     seq_len = b.train_ds.generation.get("seq_len", SEQUENCE_LEN)
     for it in range(cfg.iters):
-        pool = gen_independent(spec, cfg.pool, seq_len=seq_len,
+        pool = gen_independent(b.spec, cfg.pool, seq_len=seq_len,
                                seed=int(np.random.default_rng(
                                    [cfg.seed, 0x504F4F, it]).integers(2 ** 31)))
         state = al_iteration(state, pool, b.test_ds, cfg.eps,
                              split_fraction=cfg.split_fraction, warm=cfg.warm)
 
     out_dir = os.path.join(b.path, "active")
-    save_model(state.monitor, os.path.join(out_dir, "checkpoint"))
-    save_container(os.path.join(out_dir, "calibration"),
-                   {"kind": "calibration", "size": state.calib.size},
-                   {"scores": state.calib.scores})
+    _save_monitor(out_dir, state.monitor, state.calib)
     _write_json(os.path.join(out_dir, "state.json"),
                 {"rule": state.rule.to_dict(), "iterations": state.iteration,
                  "n_train": state.train_ds.n, "n_calib": state.calib_ds.n})
-    _write_report(os.path.join(b.path, "reports", "active.json"), cfg,
-                  {"history": state.history})
-    rows = []
-    for rec in state.history:
-        for phase in ("before", "after"):
-            for eps in cfg.eps:
-                rows.append({
-                    "model": cfg.model, "approach": cfg.approach,
-                    "setting": f"active_it{rec['iteration']}_{phase}",
-                    "seed": cfg.seed, "eps": eps,
-                    "accuracy": rec[phase]["accuracy"],
-                    "detection": rec[phase]["detection_rate"],
-                    "fn": "-", "fp": "-",
-                    "rejection": rec[phase]["rejection_rate"],
-                    "coverage": rec[phase][f"coverage@{eps}"],
-                    "efficiency": rec[phase][f"efficiency@{eps}"],
-                    "config_hash": cfg.hash(), "code_version": CODE_VERSION,
-                })
-    write_csv(os.path.join(b.path, "reports", "active.csv"), REPORT_COLUMNS, rows)
+    rows = [row for rec in state.history for phase in ("before", "after")
+            for row in _report_rows(cfg, f"active_it{rec['iteration']}_{phase}",
+                                    rec[phase])]
+    _write_reports(b.path, "active", cfg, {"history": state.history}, rows)
     return state.history
 
 
@@ -337,24 +332,15 @@ def cmd_anomaly(cfg: ExperimentConfig) -> dict:
     if b.test_ds.n == 0:
         raise InsufficientData("anomaly needs a bundle with a nonempty test "
                                "split")
-    spec = b.spec
-    clean_scaled = scale(b.test_ds, b.scaler)
-    anom_scaled = scale(anomalous_copy(b.test_ds, spec, cfg.noise_scale), b.scaler)
-    det_clean = full_report(b.monitor, b.calib, b.rule, clean_scaled, cfg.eps,
-                            seed=cfg.seed)
-    det_anom = full_report(b.monitor, b.calib, b.rule, anom_scaled, cfg.eps,
-                           seed=cfg.seed)
-    rows = []
-    for setting, det in (("clean", det_clean), ("anomaly", det_anom)):
-        rows.extend(_report_row(cfg, setting, cfg.seed, eps, det)
-                    for eps in cfg.eps)
-    write_csv(os.path.join(b.path, "reports", "anomaly.csv"),
-              REPORT_COLUMNS, rows)
-    _write_report(os.path.join(b.path, "reports", "anomaly.json"), cfg, {
-        "noise_scale": cfg.noise_scale,
-        "clean": det_clean, "anomaly": det_anom,
-    })
-    return {"clean": det_clean, "anomaly": det_anom}
+    splits = {"clean": b.test_ds,
+              "anomaly": anomalous_copy(b.test_ds, b.spec, cfg.noise_scale)}
+    dets = {setting: full_report(b.monitor, b.calib, b.rule, scale(ds, b.scaler),
+                                 cfg.eps, seed=cfg.seed)
+            for setting, ds in splits.items()}
+    _write_reports(b.path, "anomaly", cfg, {"noise_scale": cfg.noise_scale, **dets},
+                   [row for setting, det in dets.items()
+                    for row in _detection_rows(cfg, setting, det)])
+    return dets
 
 
 # --- compare state estimators ---------------------------------------------------
@@ -371,7 +357,6 @@ def cmd_compare_se(cfg: ExperimentConfig) -> dict:
     if b.monitor.kind != "two_step":
         raise ConfigError("compare-se needs a two-step bundle (no estimator "
                           "in an end-to-end monitor)")
-    spec = b.spec
     n_points = min(cfg.n_se_points, b.test_ds.n)
     if n_points == 0:
         raise InsufficientData("compare-se needs a bundle with a nonempty "
@@ -384,7 +369,7 @@ def cmd_compare_se(cfg: ExperimentConfig) -> dict:
     nse_states = b.scaler.unscale_states(est_scaled)
     ranges = b.scaler.state_ranges()
 
-    ukf_states = ukf_estimate(spec, subset.obs)
+    ukf_states = ukf_estimate(b.spec, subset.obs)
     true_states = subset.states.astype(np.float64)
     nse_err = relative_error(true_states, nse_states, ranges)
     ukf_err = relative_error(true_states, ukf_states, ranges)
@@ -394,14 +379,11 @@ def cmd_compare_se(cfg: ExperimentConfig) -> dict:
         "nse_mean": float(nse_err.mean()), "nse_std": float(nse_err.std()),
         "ukf_mean": float(ukf_err.mean()), "ukf_std": float(ukf_err.std()),
     }
-    write_csv(os.path.join(b.path, "reports", "compare_se.csv"),
-              ["model", "estimator", "rel_err_mean", "rel_err_std", "n",
-               "config_hash", "code_version"],
-              [{"model": cfg.model, "estimator": name,
-                "rel_err_mean": report[f"{name}_mean"],
-                "rel_err_std": report[f"{name}_std"], "n": n_points,
-                "config_hash": cfg.hash(), "code_version": CODE_VERSION}
-               for name in ("nse", "ukf")])
-    _write_report(os.path.join(b.path, "reports", "compare_se.json"), cfg,
-                  report)
+    _write_reports(b.path, "compare_se", cfg, report,
+                   [{"model": cfg.model, "estimator": name,
+                     "rel_err_mean": report[f"{name}_mean"],
+                     "rel_err_std": report[f"{name}_std"],
+                     "n": report["n_points"]} for name in ("nse", "ukf")],
+                   ["model", "estimator", "rel_err_mean", "rel_err_std", "n",
+                    "config_hash", "code_version"])
     return report

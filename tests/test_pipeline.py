@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import write_linear_file
 
-from reachmon import active, cli, get_spec, pipeline
+from reachmon import active, cli, errors, get_spec, pipeline
 from reachmon.config import CHOICES, RANGES, ExperimentConfig, load_config
 from reachmon.data import SEQUENCE_LEN, gen_independent, scale
 from reachmon.errors import ConfigError
@@ -49,6 +49,63 @@ class TestConfigPrecedence:
                          "--config", str(conf), *flags])
         assert code == cli.EXIT_OK
         assert seen["eps"] == want
+
+
+def _error_classes(cls=errors.ReachmonError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+# the documented exit status and stderr prefix of each error class
+EXIT = {errors.ConfigError: (2, "config error: "),
+        errors.InsufficientData: (2, "config error: "),
+        errors.ShapeError: (2, "config error: "),
+        errors.MissingArtifact: (3, "missing artifact: "),
+        errors.NumericalError: (4, "numeric failure: "),
+        errors.IntegrationDiverged: (4, "numeric failure: "),
+        errors.FilterDiverged: (4, "numeric failure: "),
+        errors.GenerationFailed: (4, "numeric failure: "),
+        errors.InvalidLikelihoods: (4, "numeric failure: "),
+        errors.IntegrityError: (5, "integrity failure: ")}
+
+
+class TestExitStatus:
+    def test_every_error_class_states_its_status(self):
+        classes = list(_error_classes())
+        assert set(classes) == set(EXIT)
+        for cls in classes:
+            assert {"exit_status", "label"} <= cls.__dict__.keys(), cls
+        assert (cli.EXIT_CONFIG, cli.EXIT_MISSING, cli.EXIT_NUMERIC,
+                cli.EXIT_INTEGRITY) == (2, 3, 4, 5)
+
+    @pytest.mark.parametrize("cls", list(_error_classes()),
+                             ids=lambda cls: cls.__name__)
+    def test_cli_exit_status_and_prefix(self, tmp_path, monkeypatch, capsys, cls):
+        def failing(cfg):
+            raise cls("boom")
+
+        monkeypatch.setattr(pipeline, "cmd_eval", failing)
+        status, prefix = EXIT[cls]
+        assert cli.main(["eval", "--bundle", str(tmp_path)]) == status
+        assert capsys.readouterr().err == f"{prefix}boom\n"
+
+
+class TestHelpDefaults:
+    @pytest.mark.parametrize("argv, text", [
+        (["gen", "--help"], "ind|independent|seq|sequential (default sequential)"),
+        (["train", "--help"], "desk|paper (default paper)"),
+        (["active", "--help"], "default 1234"),
+        (["anomaly", "--help"], "comma-separated list (default 0.2,0.3)")])
+    def test_help_follows_the_config_defaults(self, monkeypatch, capsys, argv,
+                                              text):
+        changed = ExperimentConfig(mode="sequential", profile="paper", pool=1234,
+                                   eps=[0.2, 0.3])
+        monkeypatch.setattr(cli, "ExperimentConfig", lambda: changed)
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert text in capsys.readouterr().out
 
 
 class TestBundleModel:
@@ -264,6 +321,80 @@ def sn_bundle(tmp_path_factory):
                      "--n-train", "200", "--n-calib", "120", "--n-test", "80",
                      "--config", str(conf)]) == cli.EXIT_OK
     return root / "bundle"
+
+
+def _csv_rows(path):
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def _formatted(row):
+    return {k: pipeline._fmt(v) for k, v in row.items()}
+
+
+class TestReportsFromJson:
+    EPS = (0.1, 0.05)
+
+    @staticmethod
+    def _flat(det):
+        """A full report read back from JSON, with the ``coverage@<eps>``
+        and ``efficiency@<eps>`` keys of an active-learning record."""
+        return {**det, **{f"{m}@{e}": per[m] for e, per in det["per_eps"].items()
+                          for m in ("coverage", "efficiency")}}
+
+    def _rows(self, meta, doc, setting, metrics, counts=None):
+        """The formatted ``REPORT_COLUMNS`` rows of one setting."""
+        fn, fp = ((f"{counts[k + '_detected']}/{counts[k + '_total']}"
+                   for k in ("fn", "fp")) if counts else ("-", "-"))
+        return [_formatted({
+            "model": meta["model"], "approach": meta["approach"],
+            "setting": setting, "seed": meta["seed"], "eps": eps,
+            "accuracy": metrics["accuracy"],
+            "detection": metrics["detection_rate"], "fn": fn, "fp": fp,
+            "rejection": metrics["rejection_rate"],
+            "coverage": metrics[f"coverage@{eps}"],
+            "efficiency": metrics[f"efficiency@{eps}"],
+            "config_hash": doc["config_hash"],
+            "code_version": doc["code_version"]}) for eps in self.EPS]
+
+    # every sn number is 1.0 or 0.0, so only lalo tells the columns apart
+    @pytest.mark.parametrize("fixture", ["sn_bundle", "lalo_bundle"])
+    def test_every_csv_row_is_its_json_value(self, request, fixture):
+        bundle = request.getfixturevalue(fixture)
+        conf = ["--config", str(bundle.parent / "small.conf")]
+        eps = ["--eps", ",".join(map(str, self.EPS))]
+        for argv in (["eval", *eps], ["active", *eps, "--pool", "100"],
+                     ["anomaly", *eps], ["compare-se"]):
+            assert cli.main([*argv, "--bundle", str(bundle), *conf]) == cli.EXIT_OK
+        reports = bundle / "reports"
+        meta = json.loads((bundle / "bundle.json").read_text())
+        doc = {name: json.loads((reports / f"{name}.json").read_text())
+               for name in ("eval", "active", "anomaly", "compare_se")}
+
+        det = doc["eval"]["metrics"]
+        assert _csv_rows(reports / "eval.csv") == self._rows(
+            meta, doc["eval"], "initial", self._flat(det), det)
+        assert _csv_rows(reports / "sweep.csv") == [
+            _formatted({"eps": eps, **det["per_eps"][str(eps)]})
+            for eps in self.EPS]
+        assert _csv_rows(reports / "anomaly.csv") == [
+            row for setting in ("clean", "anomaly")
+            for row in self._rows(meta, doc["anomaly"], setting,
+                                  self._flat(doc["anomaly"][setting]),
+                                  doc["anomaly"][setting])]
+        history = doc["active"]["history"]
+        assert history
+        assert _csv_rows(reports / "active.csv") == [
+            row for rec in history for phase in ("before", "after")
+            for row in self._rows(meta, doc["active"],
+                                  f"active_it{rec['iteration']}_{phase}",
+                                  rec[phase])]
+        se = doc["compare_se"]
+        assert _csv_rows(reports / "compare_se.csv") == [_formatted({
+            "model": meta["model"], "estimator": name,
+            "rel_err_mean": se[f"{name}_mean"], "rel_err_std": se[f"{name}_std"],
+            "n": se["n_points"], "config_hash": se["config_hash"],
+            "code_version": se["code_version"]}) for name in ("nse", "ukf")]
 
 
 class TestNoiseScale:

@@ -16,6 +16,7 @@ the medians differ by more than the parent's interquartile range.
     python3 tools/paired_bench.py --parent HEAD~1 --pairs 10 --seed 1001
 
 Exits 1 when a run gives no result or a result that is not ``correct``.
+SIGTERM stops the current run and removes the extracted tree.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import io
 import json
 import math
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -97,6 +99,9 @@ def summarize(metric, better, parent, change):
 
 
 def main(argv=None) -> int:
+    # as SystemExit, SIGTERM makes ``subprocess.run`` kill its child and the
+    # temporary directory remove itself on the way out
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
