@@ -12,9 +12,9 @@ scatter.  A batch of more than ``ROW_BLOCK`` windows (an eval pass over a
 whole split) is unrolled and multiplied ``ROW_BLOCK`` windows at a time, so
 each block's im2col matrix stays in cache; training minibatches and batch-1
 verdicts fit in one block.  Weights are float64; the layers share no base
-class, and ``Network`` checks their arguments.  Each caches what its backward
-pass needs and writes gradients into ``grads`` aligned with ``params``, which
-inside a ``Network`` are views of its flat parameter and gradient buffers.
+class, and ``Network`` checks their arguments.  Only a training forward keeps
+what ``backward`` needs, which writes gradients into ``grads`` aligned with
+``params``: views of the ``Network``'s flat parameter and gradient buffers.
 """
 
 from __future__ import annotations
@@ -54,6 +54,13 @@ def _activate_grad(z, out, kind):
     raise ValueError(f"unknown activation {kind!r}")
 
 
+def _training_cache(layer):
+    if layer._cache is None:
+        raise ValueError(f"{type(layer).__name__}.backward needs a forward "
+                         "pass with train=True first")
+    return layer._cache
+
+
 class Conv1D:
     """Stride-1 same-padded 1-D convolution over (batch, channels, length).
 
@@ -76,9 +83,9 @@ class Conv1D:
     as one BLAS call per window, so the blocks give the same bits as one
     whole product.  The products that stay whole are the weight gradient
     (its inner dimension is B * L) and the dense layers, whose rows round
-    differently with the row count.  After a blocked call the cache holds
-    the layer input instead of the (B, L, C * k) matrix, and ``backward``
-    rebuilds the matrix from it.
+    differently with the row count.  Only a training forward keeps a cache;
+    after a blocked one it holds the layer input instead of the
+    (B, L, C * k) matrix, and ``backward`` rebuilds the matrix from it.
     """
 
     def __init__(self, in_channels, out_channels, kernel, activation, rng):
@@ -93,6 +100,7 @@ class Conv1D:
         self.params = [self.w, self.b]
         self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
         self._col_index = {}                       # input length -> (L, C*k)
+        self._cache = None
 
     def _im2col(self, x):
         B, C, L = x.shape
@@ -123,11 +131,11 @@ class Conv1D:
         z += self.b
         z = z.transpose(0, 2, 1)                   # (B, F, L)
         out = _activate(z, self.activation)
-        self._cache = (x, cols, z, out)
+        self._cache = (x, cols, z, out) if train else None
         return out
 
     def backward(self, dout):
-        x, cols, z, out = self._cache
+        x, cols, z, out = _training_cache(self)
         if cols is None:
             cols = self._im2col(x)
         B, C, L = x.shape
@@ -160,16 +168,17 @@ class Dense:
         self.activation = activation
         self.params = [self.w, self.b]
         self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
+        self._cache = None
 
     def forward(self, x, train=False, rng=None):
         z = x @ self.w.T
         z += self.b
         out = _activate(z, self.activation)
-        self._cache = (x, z, out)
+        self._cache = (x, z, out) if train else None
         return out
 
     def backward(self, dout):
-        x, z, out = self._cache
+        x, z, out = _training_cache(self)
         dz = dout * _activate_grad(z, out, self.activation)
         self.grads[0][...] = dz.T @ x
         self.grads[1][...] = dz.sum(axis=0)

@@ -106,6 +106,7 @@ class Network:
         return x
 
     def backward(self, dout):
+        """Backward of the last forward, which must be a training forward."""
         for layer in reversed(self.layers):
             dout = layer.backward(dout)
         return dout

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import IntegrityError, NumericalError, ShapeError
+from ..errors import InsufficientData, IntegrityError, NumericalError, ShapeError
 from ..storage import load_container, require_keys, save_container
 from .network import Network
 
@@ -190,15 +190,19 @@ def fine_tune(nse: Network, nsc: Network, X, S, y, opts: TrainOpts):
     guard slice of 10 % of the rows (at least one) guards against
     regressions: if combined accuracy on it drops by more than 0.005 (or
     the loss diverges), the pre-fine-tuning weights are restored.  Returns
-    ``(info_dict)``; nets are updated in place.
+    ``(info_dict)``; nets are updated in place.  Fewer than two rows leave
+    no training row and raise :class:`InsufficientData`.
     """
     X = np.asarray(X, dtype=np.float64)
     S = np.asarray(S, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     guard_rng = np.random.default_rng([opts.seed, 0x4754])
     order = guard_rng.permutation(len(y))
-    n_guard = max(1, int(len(y) * 0.1)) if len(y) else 0
+    n_guard = max(1, int(len(y) * 0.1))
     guard, train_rows = order[:n_guard], order[n_guard:]
+    if not len(train_rows):
+        raise InsufficientData("fine-tuning needs a training row beside the "
+                               f"guard slice, and has {len(y)} row(s)")
 
     saved = (nse.flat_params.copy(), nsc.flat_params.copy())
     acc_before = _combined_accuracy(nse, nsc, X[guard], y[guard])

@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from reachmon.errors import IntegrityError, NumericalError, ShapeError
+from reachmon.errors import InsufficientData, IntegrityError, NumericalError, ShapeError
 from reachmon.nets import (
     MonitorModel,
     Network,
@@ -20,7 +21,7 @@ from reachmon.nets import (
     train_estimator,
 )
 from reachmon.nets import layers
-from reachmon.nets.layers import ROW_BLOCK, Conv1D, Dropout
+from reachmon.nets.layers import ROW_BLOCK, Conv1D, Dense, Dropout
 from reachmon.nets.training import Adam, predict_scores, softmax
 from reachmon.storage import load_container, save_container
 
@@ -228,7 +229,7 @@ class TestGradients:
         for p in net.params:
             p[...] = 0.0
         x = np.zeros((2, 1, 2))
-        out = net.forward(x)
+        out = net.forward(x, train=True, rng=np.random.default_rng(0))
         _, dout = mse(out, np.zeros_like(out))
         net.backward(dout)
         for g in net.grads:
@@ -247,7 +248,7 @@ class TestGradients:
         rng = np.random.default_rng(seed + 50)
         x = rng.normal(size=(3, 2, 4))
         y = rng.integers(0, 2, 3)
-        scores = net.forward(x)
+        scores = net.forward(x, train=True)
         _, dscores = cross_entropy(scores, y)
         net.backward(dscores)
         grads = [g.copy() for g in net.grads]
@@ -276,15 +277,17 @@ class TestGradients:
         y = rng.integers(0, 2, 4)
 
         def grads_for(loss_kind):
-            s_hat = nse.forward(x)
+            # a fresh stream per call: every call draws the same dropout masks
+            drop_rng = np.random.default_rng(7)
+            s_hat = nse.forward(x, train=True, rng=drop_rng)
             if loss_kind == "mse":
                 _, ds = mse(s_hat, starget)
             elif loss_kind == "ce":
-                scores = nsc.forward(s_hat)
+                scores = nsc.forward(s_hat, train=True, rng=drop_rng)
                 _, dsc = cross_entropy(scores, y)
                 ds = nsc.backward(dsc)
             else:
-                scores = nsc.forward(s_hat)
+                scores = nsc.forward(s_hat, train=True, rng=drop_rng)
                 _, dsc = cross_entropy(scores, y)
                 _, dm = mse(s_hat, starget)
                 ds = dm + nsc.backward(dsc)
@@ -321,7 +324,7 @@ class TestConv1DBitExact:
                     else:
                         x = rng.normal(size=(B, C, L))
                         dout = rng.normal(size=(B, F, L))
-                    out = layer.forward(x)
+                    out = layer.forward(x, train=True)
                     dx = layer.backward(dout)
                     want = conv1d_reference(layer, x, dout)
                     case = (B, L, channel_last)
@@ -336,7 +339,7 @@ class TestConv1DBitExact:
     def test_empty_batch(self, kernel):
         rng = np.random.default_rng(0)
         layer = Conv1D(3, 4, kernel, "leaky_relu", rng)
-        out = layer.forward(np.empty((0, 3, 6)))
+        out = layer.forward(np.empty((0, 3, 6)), train=True)
         assert out.shape == (0, 4, 6)
         assert layer.backward(np.empty((0, 4, 6))).shape == (0, 3, 6)
         assert not layer.grads[0].any() and not layer.grads[1].any()
@@ -344,7 +347,8 @@ class TestConv1DBitExact:
     def test_multi_block_cache_holds_no_im2col_matrix(self):
         B, L = 3 * ROW_BLOCK + 7, 5
         net = make_net(build_estimator_spec(2, 3, L, "desk"), seed=3)
-        net.forward(np.random.default_rng(0).normal(size=(B, 2, L)))
+        net.forward(np.random.default_rng(0).normal(size=(B, 2, L)),
+                    train=True, rng=np.random.default_rng(1))
         for layer in net.layers:
             if isinstance(layer, Conv1D):
                 C, k = layer.w.shape[1:]
@@ -470,16 +474,24 @@ class TestFineTune:
         # the combined-loss gradient w.r.t. estimator weights includes the
         # classifier term: it must differ from the mse-only gradient
         X, S, y, nse, nsc = self._setup(seed=2)
-        s_hat = nse.forward(X)
+        # a fresh stream per pass: both passes draw the same estimator masks
+        s_hat = nse.forward(X, train=True, rng=np.random.default_rng(7))
         _, dm = mse(s_hat, S)
         nse.backward(dm)
         g_mse = [g.copy() for g in nse.grads]
-        s_hat = nse.forward(X)
-        scores = nsc.forward(s_hat)
+        drop_rng = np.random.default_rng(7)
+        s_hat = nse.forward(X, train=True, rng=drop_rng)
+        scores = nsc.forward(s_hat, train=True, rng=drop_rng)
         _, dsc = cross_entropy(scores, y)
         nse.backward(dm + nsc.backward(dsc))
         g_comb = [g.copy() for g in nse.grads]
         assert any(np.abs(a - b).max() > 1e-12 for a, b in zip(g_mse, g_comb))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_row_beside_the_guard_is_insufficient_data(self, n):
+        X, S, y, nse, nsc = self._setup()
+        with pytest.raises(InsufficientData, match="guard"):
+            fine_tune(nse, nsc, X[:n], S[:n], y[:n], TrainOpts(epochs=1, seed=0))
 
     def test_guarded_revert_on_divergence(self):
         # as for train_classifier, only extreme magnitudes make Adam's
@@ -537,8 +549,14 @@ class TestPredict:
 
         def run():
             out = predict(model, x)
-            convs = [layer._cache[3] for net in (nse, nsc)
-                     for layer in net.layers if isinstance(layer, Conv1D)]
+            # the conv outputs of the same eval pass, layer by layer
+            convs, h = [], x
+            for net in (nse, nsc):
+                for layer in net.layers:
+                    h = layer.forward(h)
+                    if isinstance(layer, Conv1D):
+                        convs.append(h)
+            assert np.array_equal(softmax(h), out["likelihoods"])
             return out, convs
 
         blocked, blocked_convs = run()
@@ -567,6 +585,60 @@ class TestPredict:
         net = make_net(build_classifier_spec(2, 3, "desk"), seed=9)
         x = np.random.default_rng(2).normal(size=(20, 2, 3)) * 5
         assert net.forward(x).min() >= 0.0
+
+
+class TestInferenceCache:
+    """An inference forward keeps no backward cache."""
+
+    def _monitors(self, L):
+        net = make_net(build_classifier_spec(1, L, "desk"), seed=4)
+        nse = make_net(build_estimator_spec(1, 2, L, "desk"), seed=5)
+        nsc = make_net(build_classifier_spec(2, L, "desk"), seed=6)
+        return [MonitorModel(kind="end_to_end", nets={"classifier": net}),
+                MonitorModel(kind="two_step", nets={"nse": nse, "nsc": nsc})]
+
+    @pytest.mark.parametrize("B", [1, 64, 3 * ROW_BLOCK + 7])
+    def test_predict_leaves_no_cache(self, B):
+        L = 5
+        x = np.random.default_rng(B).normal(size=(B, 1, L))
+        for model in self._monitors(L):
+            cached = []
+            for net in model.nets.values():
+                # a training forward first, so predict has caches to drop
+                net.forward(np.zeros((2, net.spec["input_channels"], L)),
+                            train=True, rng=np.random.default_rng(0))
+                cached += [layer for layer in net.layers
+                           if isinstance(layer, (Conv1D, Dense))]
+            assert all(layer._cache is not None for layer in cached)
+            predict(model, x)
+            assert all(layer._cache is None for layer in cached), model.kind
+
+    def test_backward_after_inference_forward_raises(self):
+        net = make_net(build_classifier_spec(2, 3, "desk"), seed=4)
+        x = np.random.default_rng(0).normal(size=(5, 2, 3))
+        with pytest.raises(ValueError, match="train=True"):
+            net.backward(np.ones((5, 2)))          # no forward at all
+        net.forward(x, train=True, rng=np.random.default_rng(1))
+        net.forward(x)
+        with pytest.raises(ValueError, match="train=True"):
+            net.backward(np.ones((5, 2)))
+
+    def test_predict_memory_is_bounded(self):
+        # 4000 windows of a (1, 5)-window two-step monitor: a 32-filter conv
+        # output is 5.1 MB; caching every layer kept about ten of them
+        B, L = 4000, 5
+        model = self._monitors(L)[1]
+        x = np.random.default_rng(0).normal(size=(B, 1, L))
+        conv_out = B * 32 * L * 8
+        tracemalloc.start()
+        try:
+            out = predict(model, x)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * conv_out, peak / conv_out
+        assert retained < 2 ** 20, retained
+        assert out["states_hat"].shape == (B, 2, L)
 
 
 class TestCheckpoint:
@@ -652,7 +724,8 @@ class TestFlatParameters:
     def test_backward_fills_flat_gradients(self):
         net = make_net(build_classifier_spec(2, 3, "desk"), seed=4)
         x = np.random.default_rng(0).normal(size=(5, 2, 3))
-        _, dscores = cross_entropy(net.forward(x), np.array([0, 1, 1, 0, 1]))
+        scores = net.forward(x, train=True, rng=np.random.default_rng(1))
+        _, dscores = cross_entropy(scores, np.array([0, 1, 1, 0, 1]))
         net.backward(dscores)
         assert np.array_equal(net.flat_grads,
                               np.concatenate([g.ravel() for g in net.grads]))

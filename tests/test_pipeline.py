@@ -246,6 +246,19 @@ class TestTrainPreconditions:
         assert "n_train = 0" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    def test_one_row_two_step_split_fails_without_a_bundle(self, tmp_path,
+                                                            capsys):
+        # the fine-tuning guard slice takes the only row, leaving none to
+        # train on
+        data = str(tmp_path / "data")
+        assert cli.main(["gen", "--model", "ip", "--n", "1000",
+                         "--out", data]) == cli.EXIT_OK
+        assert cli.main(["train", "--data", data, "--out", str(tmp_path / "b"),
+                         "--approach", "two_step", "--n-train", "1",
+                         "--n-calib", "500", "--n-test", "100"]) == cli.EXIT_CONFIG
+        assert "guard slice" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     @pytest.mark.parametrize("k_folds", [0, 1])
     def test_fewer_than_two_folds_is_a_config_error(self, tmp_path, k_folds):
         with pytest.raises(ConfigError):
