@@ -28,10 +28,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GenerationFailed, InsufficientData, IntegrityError, ShapeError
+from .errors import (ConfigError, GenerationFailed, InsufficientData, IntegrityError,
+                     ShapeError)
 from .reach import reach_label_batch
 from .storage import load_container, require_keys, save_container
-from .systems import HybridSystemSpec, flow
+from .systems import HybridSystemSpec, step_batch
 
 SEQUENCE_LEN = 32  # states per generated sequence; windows are its tail
 MAX_RETRIES = 20
@@ -166,9 +167,9 @@ class Dataset:
 def _simulate_tolerant(spec, V0, Q0, n_steps):
     """Batch simulation that flags diverged rows instead of raising.
 
-    Each transition is :func:`systems.flow`; a row whose state turns
-    non-finite is parked at zero and masked out, then the jump rule runs on
-    every row.  Returns ``(states, modes, ok)``.
+    Each transition is :func:`systems.step_batch`; a row it flags goes on
+    from the zero it jumped from and is false in ``ok``, so the caller
+    redraws it.  Returns ``(states, modes, ok)``.
     """
     B = V0.shape[0]
     Vs = np.empty((n_steps + 1, B, spec.state_dim), dtype=np.float64)
@@ -178,12 +179,8 @@ def _simulate_tolerant(spec, V0, Q0, n_steps):
     ok = np.ones(B, dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(n_steps):
-            V = flow(spec, V, Q)
-            bad = ~np.isfinite(V).all(axis=1)
-            if bad.any():
-                ok &= ~bad
-                V[bad] = 0.0  # parked; rows are discarded via the mask
-            V, Q = spec.jump(V, Q)
+            V, Q, ok_k = step_batch(spec, V, Q)
+            ok &= ok_k
             Vs[k + 1], Qs[k + 1] = V, Q
     return Vs, Qs, ok
 
@@ -299,9 +296,13 @@ def _generate(spec, mode, seed, n, n_states, keep, W):
 
     A diverged simulation is redrawn from the sample's next substream, up to
     ``MAX_RETRIES`` attempts.  One ``observe_fn`` call covers every kept
-    state, and one gather per output array cuts every window.
+    state, and one gather per output array cuts every window.  ``W < 1``, or
+    windows of fewer than ``H_p + 1`` states, raise ``ConfigError``.
     """
     L = spec.window_len
+    if W < 1 or n_states - W + 1 < L:
+        raise ConfigError(f"{spec.name} windows need seq_len >= {L} and windows_per_traj"
+                          f" >= 1, got {n_states - W + 1} and {W}")
     trajs = np.empty((n, keep, spec.state_dim))
     traj_modes = np.empty((n, keep), dtype=np.int64)
     attempts = np.zeros(n, dtype=np.int64)
@@ -347,8 +348,6 @@ def gen_independent(spec: HybridSystemSpec, n: int, seq_len: int = SEQUENCE_LEN,
     ``seq_len``-state sequence, and keeps the trailing ``H_p + 1`` window;
     the label is the reach label of the window's last state.
     """
-    if seq_len < spec.window_len:
-        raise ValueError(f"seq_len must be >= H_p+1 = {spec.window_len}")
     return _generate(spec, "independent", seed, n, seq_len, spec.window_len, 1)
 
 
@@ -363,10 +362,6 @@ def gen_sequential(spec: HybridSystemSpec, n_init: int, windows_per_traj: int,
     their observation noise, exactly as a runtime monitor would see them.
     Each trajectory's noise is one draw, and the windows are one gather.
     """
-    if windows_per_traj < 1:
-        raise ValueError("windows_per_traj must be >= 1")
-    if seq_len < spec.window_len:
-        raise ValueError(f"seq_len must be >= H_p+1 = {spec.window_len}")
     traj_len = windows_per_traj - 1 + seq_len
     return _generate(spec, "sequential", seed, n_init, traj_len, traj_len,
                      windows_per_traj)
@@ -434,10 +429,11 @@ def save(dataset: Dataset, path):
 
 def load(path) -> Dataset:
     """The saved dataset; missing arrays or meta keys, arrays that disagree
-    in dimensions, N or L, or a generation record that is not integers
-    (``seq_len`` at least L, ``windows_per_traj`` at least 1), raise
-    ``IntegrityError``.  A dataset saved without the record loads with an
-    empty one."""
+    in dimensions, N or L, a seed that is not an int, a mode other than the
+    two, a model name that is not a str, a scaler that does not load, or a
+    generation record that is not integers (``seq_len`` at least L,
+    ``windows_per_traj`` at least 1), raise ``IntegrityError``.  A dataset
+    saved without the record loads with an empty one."""
     meta, arrays = load_container(path)
     if meta.get("kind") != "dataset":
         raise ShapeError(f"{path} is not a dataset container")
@@ -448,6 +444,15 @@ def load(path) -> Dataset:
             or len({shapes[k][1] for k in ("obs", "states", "modes")}) != 1:
         raise IntegrityError(f"{path}: dataset arrays {shapes} do not agree")
     require_keys(meta, ("model_name", "mode", "seed", "scaler"), path)
+    if type(meta["seed"]) is not int or type(meta["model_name"]) is not str \
+            or meta["mode"] not in ("independent", "sequential"):
+        raise IntegrityError(f"{path}: dataset seed, mode or model name is "
+                             f"malformed: {meta['seed']!r}, {meta['mode']!r}, "
+                             f"{meta['model_name']!r}")
+    try:
+        scaler = None if meta["scaler"] is None else Scaler.from_dict(meta["scaler"])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"{path}: scaler does not load: {exc!r}") from None
     lowest = {"seq_len": shapes["obs"][1], "windows_per_traj": 1, "retries": 0}
     generation = {k: meta[k] for k in lowest if k in meta}
     if any(type(v) is not int or v < lowest[k] for k, v in generation.items()):
@@ -455,5 +460,4 @@ def load(path) -> Dataset:
                              f"one of windows of {shapes['obs'][1]} states")
     return Dataset(
         model_name=meta["model_name"], mode=meta["mode"], seed=meta["seed"],
-        scaler=Scaler.from_dict(meta["scaler"]) if meta["scaler"] else None,
-        generation=generation, **{k: arrays[k] for k in _DATASET_NDIM})
+        scaler=scaler, generation=generation, **{k: arrays[k] for k in _DATASET_NDIM})

@@ -122,9 +122,6 @@ def cmd_gen(cfg: ExperimentConfig) -> str:
     if not cfg.out:
         raise ConfigError("gen requires an output path (--out)")
     spec = get_spec(cfg.model)
-    if cfg.seq_len < spec.window_len:
-        raise ConfigError(f"seq_len={cfg.seq_len} is shorter than the "
-                          f"{cfg.model} window of {spec.window_len} steps")
     if cfg.mode == "independent":
         ds = gen_independent(spec, cfg.n, seq_len=cfg.seq_len, seed=cfg.seed)
     else:
@@ -151,6 +148,9 @@ def cmd_train(cfg: ExperimentConfig) -> str:
         raise InsufficientData("train needs a nonempty training split "
                                "(n_train = 0)")
     dataset = load(cfg.data)
+    if dataset.scaled:
+        raise ConfigError(f"{cfg.data} holds a scaled dataset; train takes "
+                          "gen's unscaled one")
     # the dataset, not the config (``train`` has no --model), names the model
     cfg = replace(cfg, model=dataset.model_name)
     rng = np.random.default_rng([cfg.seed, _SPLIT_STREAM])

@@ -7,8 +7,8 @@ predicate.  One transition integrates the dynamics over ``dt`` with a
 fixed-step classic Runge-Kutta scheme, holding the control computed at the
 step start constant, and then applies the jump rule once to the
 post-integration state.
-:func:`flow` is the one integrator: :func:`step_batch` (reach labels, the
-UKF) and dataset generation both call it.
+:func:`flow` is the one integrator and :func:`step_batch` the one transition;
+reach labels, generation and the UKF each decide what to do with its flags.
 
 All callables operate on batches: states are ``(B, state_dim)`` arrays and
 modes are ``(B,)`` integer arrays, so large numbers of trajectories are
@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .errors import IntegrationDiverged
 
 
 @dataclass(frozen=True)
@@ -100,10 +98,12 @@ def flow(spec: HybridSystemSpec, V: np.ndarray, Q: np.ndarray,
 
 
 def step_batch(spec: HybridSystemSpec, V: np.ndarray, Q: np.ndarray):
-    """One transition for a batch of states: :func:`flow`, which must stay
-    finite, then the jump rule once; returns ``(V', Q')``."""
+    """One transition for a batch of states: :func:`flow`, then the row-wise
+    jump rule.  Returns ``(V', Q', ok)``: a row whose flow is not finite is
+    false in ``ok`` and jumps from zero, for the caller to raise on, mask or drop."""
     V1 = flow(spec, V, Q)
-    if not np.isfinite(V1).all():
-        raise IntegrationDiverged(f"{spec.name}: non-finite state after integration")
-    return spec.jump(V1, Q)
+    finite = np.isfinite(V1)   # reduced by row only when needed: all(axis=1) is slow
+    ok = np.ones(len(V1), dtype=bool) if finite.all() else finite.all(axis=1)
+    V1[~ok] = 0.0
+    return (*spec.jump(V1, Q), ok)
 

@@ -1,6 +1,6 @@
 """Unscented Kalman filter baseline for window state estimation.
 
-The filter runs the spec's full transition (integration plus jump logic) as
+The filter runs the spec's full transition, :func:`systems.step_batch`, as
 its process model and the spec's observation map as its measurement model.
 The prior is the moment-matched Gaussian of the uniform initial-state box.
 
@@ -13,7 +13,7 @@ the central sigma point; that mode is shared by all its sigma points.  Each
 is scored by the Gaussian log-likelihood of its innovations,
 ``sum_t -(v_t' S_t^-1 v_t + log det S_t) / 2``, and the estimates of the
 most likely hypothesis are returned.  A hypothesis whose covariance breaks
-down or whose state becomes non-finite is dropped.
+down or whose state or sigma point becomes non-finite is dropped.
 
 Cost: one call filters a whole batch of windows.  Every (window, starting
 mode) hypothesis runs in one lockstep pass over time, with stacked LAPACK
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterDiverged, IntegrationDiverged, ShapeError
-from .systems import HybridSystemSpec, flow, step_batch
+from .errors import FilterDiverged, ShapeError
+from .systems import HybridSystemSpec, step_batch
 
 
 @dataclass
@@ -135,17 +135,11 @@ def ukf_estimate(spec: HybridSystemSpec, obs, cfg: UKFConfig | None = None
             pts[:, n + 1:] = x[:, None] - Lt
             Qs = np.repeat(q, K)
             if t > 0:
-                V = pts.reshape(-1, n)
-                try:
-                    V, Qs = step_batch(spec, V, Qs)
-                except IntegrationDiverged:
-                    # drop the hypotheses with a non-finite sigma point and
-                    # apply the jump rule to the rest
-                    V = flow(spec, V, Qs)
-                    ok = np.isfinite(V).reshape(len(hyp), K * n).all(axis=1)
+                V, Qs, ok = step_batch(spec, pts.reshape(-1, n), Qs)
+                if not ok.all():   # drop each hypothesis with a flagged sigma point
+                    ok = ok.reshape(len(hyp), K).all(axis=1)
                     hyp, q, loglik = hyp[ok], q[ok], loglik[ok]
-                    rows = np.repeat(ok, K)
-                    V, Qs = spec.jump(V[rows], Qs[rows])
+                    V, Qs = (a[np.repeat(ok, K)] for a in (V, Qs))
                 pts = V.reshape(-1, K, n)
                 x = wm @ pts
                 d = pts - x[:, None]

@@ -25,7 +25,7 @@ from reachmon.data import (
     seed_words,
     split,
 )
-from reachmon.errors import InsufficientData, IntegrityError, ShapeError
+from reachmon.errors import ConfigError, InsufficientData, IntegrityError, ShapeError
 from reachmon.reach import reach_label_batch
 
 
@@ -272,6 +272,16 @@ class TestGenBitExact:
     def test_negative_seed_rejected(self, ip_spec, gen):
         with pytest.raises(ValueError):
             gen(ip_spec, -1)
+
+    @pytest.mark.parametrize("gen", [
+        lambda spec: gen_independent(spec, 4, seq_len=1),
+        lambda spec: gen_sequential(spec, 2, 3, seq_len=1),
+        lambda spec: gen_sequential(spec, 2, 0)],
+        ids=["independent-seq_len", "sequential-seq_len", "sequential-windows"])
+    def test_window_length_is_a_config_error(self, ip_spec, gen):
+        # ip windows are 2 states long; _generate states the rule once
+        with pytest.raises(ConfigError, match="seq_len"):
+            gen(ip_spec)
 
     @pytest.mark.parametrize("build", [
         lambda spec: replace(spec, init_lo=np.array([-1e308, -1.5]),

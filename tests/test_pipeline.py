@@ -11,7 +11,7 @@ from conftest import write_linear_file
 
 from reachmon import active, cli, errors, get_spec, pipeline
 from reachmon.config import CHOICES, RANGES, ExperimentConfig, load_config
-from reachmon.data import SEQUENCE_LEN, gen_independent, scale
+from reachmon.data import SEQUENCE_LEN, Scaler, gen_independent, load, save, scale
 from reachmon.errors import ConfigError
 from reachmon.evaluate import calibration_scores
 from reachmon.monitor import monitor_predict
@@ -615,6 +615,42 @@ class TestMalformedDataset:
                          "--config", str(conf)]) == cli.EXIT_INTEGRITY
         assert "meta.json" in capsys.readouterr().err
         assert not bundle.exists()
+
+    # defect 13: a bad seed or scaler ended train in an uncaught ValueError
+    # or TypeError, a float seed was saved truncated, and a bad mode or model
+    # name wrote a bundle that eval then rejected
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "abc"), ("seed", None), ("seed", 1.5), ("scaler", {"foo": 1}),
+        ("mode", "foo"), ("model_name", 5)],
+        ids=["seed-str", "seed-null", "seed-float", "scaler", "mode", "model_name"])
+    def test_bad_meta_value(self, ip_data, tmp_path, capsys, key, value):
+        data = tmp_path / "data"
+        shutil.copytree(ip_data, data)
+        doc = json.loads((data / "meta.json").read_text())
+        doc["meta"][key] = value
+        (data / "meta.json").write_text(json.dumps(doc))
+        assert self._train(data, tmp_path) == cli.EXIT_INTEGRITY
+        assert "integrity failure" in capsys.readouterr().err
+
+    def test_scaled_dataset_is_a_config_error(self, ip_data, tmp_path, capsys):
+        # it ended train in an uncaught ``ValueError: dataset is already scaled``
+        ds = load(ip_data)
+        save(scale(ds, Scaler.fit(ds)), tmp_path / "data")
+        assert self._train(tmp_path / "data", tmp_path) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @staticmethod
+    def _train(data, tmp_path):
+        """The exit status of a small ``train`` on ``data``, which must
+        leave no bundle."""
+        conf = tmp_path / "small.conf"
+        conf.write_text("k_folds = 2\n")
+        bundle = tmp_path / "b"
+        status = cli.main(["train", "--data", str(data), "--out", str(bundle),
+                           "--n-train", "180", "--n-calib", "100", "--n-test", "20",
+                           "--config", str(conf)])
+        assert not bundle.exists()
+        return status
 
     # a meta.json key the container, dataset or checkpoint loader reads
     # ended the command in an uncaught KeyError

@@ -8,7 +8,8 @@ from reachmon import get_spec, load_linear_system
 from reachmon.benchmarks import SN_PARAMS, TWT_PARAMS
 from reachmon.data import _draw_noise, _simulate_tolerant
 from reachmon.errors import ConfigError, IntegrationDiverged
-from reachmon.systems import step_batch
+from reachmon.reach import reach_label_batch
+from reachmon.systems import flow, step_batch
 
 
 def rk4_oracle(f, v, dt, substeps):
@@ -31,13 +32,13 @@ def one(v, q=0):
 
 class TestStep:
     def test_ip_equilibrium_unchanged(self, ip_spec):
-        V, _ = step_batch(ip_spec, *one([0.0, 0.0]))
+        V, _, _ = step_batch(ip_spec, *one([0.0, 0.0]))
         assert np.array_equal(V, [[0.0, 0.0]])
 
     def test_sn_jump_reset(self):
         spec = get_spec("sn")
         # potential just below the firing threshold with huge upward drift
-        V, _ = step_batch(spec, *one([29.99, 10.0]))
+        V, _, _ = step_batch(spec, *one([29.99, 10.0]))
         assert V[0, 0] == SN_PARAMS["c"]
         # recovery integrates slightly, then gains the reset increment
         assert 10.0 + SN_PARAMS["d"] - 0.1 < V[0, 1] < 10.0 + SN_PARAMS["d"] + 0.1
@@ -67,13 +68,39 @@ class TestStep:
         assert np.array_equal(V0, V0c) and np.array_equal(Q0, Q0c)
 
     def test_divergence_raises(self, tmp_path):
-        # exploding linear system: dv/dt = 1000 v overflows within 60 steps
+        # exploding linear system: dv/dt = 1000 v overflows within 60 steps;
+        # step_batch flags the row and zeroes it, and reach labels raise
         path = write_linear_file(tmp_path / "boom.txt", a=[[1000.0]], dt=1.0)
         spec = load_linear_system(path)
         V, Q = one([1.0])
-        with pytest.raises(IntegrationDiverged), np.errstate(over="ignore"):
-            for _ in range(500):
-                V, Q = step_batch(spec, V, Q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(60):
+                V, Q, ok = step_batch(spec, V, Q)
+                if not ok.all():
+                    break
+        assert ok.tolist() == [False]
+        assert np.array_equal(V, [[0.0]])
+        with pytest.raises(IntegrationDiverged, match="non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            reach_label_batch(spec, *one([1.0]), horizon=60)
+
+    def test_only_the_diverging_row_is_flagged(self, twt_spec):
+        # mode 7 drifts to NaN: its rows are flagged and jump from zero, and
+        # every other row is the jump of its own flow, as in a batch without it
+        def drift(V, A, Q):
+            dV = twt_spec.drift(V, A, Q)
+            dV[Q == 7] = np.nan
+            return dV
+        spec = replace(twt_spec, drift=drift)
+        V, _ = draw_states(twt_spec, 16, seed=2)
+        Q = np.arange(16, dtype=np.int64) % 8
+        with np.errstate(invalid="ignore"):
+            V1, Q1, ok = step_batch(spec, V, Q)
+        assert ok.tolist() == (Q != 7).tolist()
+        assert (V1[~ok] == 0.0).all()
+        assert np.array_equal(Q1[~ok], spec.jump(np.zeros((2, 3)), Q[~ok])[1])
+        want_V, want_Q = spec.jump(flow(spec, V[ok], Q[ok]), Q[ok])
+        assert np.array_equal(V1[ok], want_V) and np.array_equal(Q1[ok], want_Q)
 
 
 class TestSimulate:
@@ -225,7 +252,7 @@ class TestLinearLoader:
     def test_decay_rk4_value(self, tmp_path):
         path = write_linear_file(tmp_path / "decay.txt", a=[[-1.0]], dt=0.1)
         spec = load_linear_system(path)
-        V, _ = step_batch(spec, *one([1.0]))
+        V, _, _ = step_batch(spec, *one([1.0]))
         assert V[0, 0] == pytest.approx(0.9048375, abs=1e-9)
         assert V[0, 0] == pytest.approx(np.exp(-0.1), abs=1e-6)
 

@@ -34,6 +34,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SIGTERM = {signal.SIGTERM}
 
 
 def parse_args(argv):
@@ -68,12 +69,31 @@ def run_once(tree, workload, seed, seconds, short):
     argv = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
             "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"] + (["--short"] if short else [])
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    for line in reversed(done.stdout.splitlines()):
+    # SIGTERM stays blocked from before the child starts until this process
+    # is inside the block that kills the child, so the handler's exit cannot
+    # land between the two; the child unblocks it before exec
+    signal.pthread_sigmask(signal.SIG_BLOCK, _SIGTERM)
+    try:
+        with subprocess.Popen(argv, cwd=tree, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              preexec_fn=_unblock_sigterm) as child:
+            try:
+                _unblock_sigterm()
+                stdout, stderr = child.communicate()
+            except BaseException:
+                child.kill()
+                raise
+    finally:
+        _unblock_sigterm()
+    for line in reversed(stdout.splitlines()):
         if line.startswith("{"):
             return json.loads(line)
-    sys.stderr.write(done.stdout + done.stderr)
+    sys.stderr.write(stdout + stderr)
     return None
+
+
+def _unblock_sigterm():
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _SIGTERM)
 
 
 def quartiles(values):
@@ -99,7 +119,7 @@ def summarize(metric, better, parent, change):
 
 
 def main(argv=None) -> int:
-    # as SystemExit, SIGTERM makes ``subprocess.run`` kill its child and the
+    # as SystemExit, SIGTERM makes ``run_once`` kill its child and the
     # temporary directory remove itself on the way out
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     args = parse_args(argv)
